@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: check, fan, sample, star, gens, certify, lift, lift-verify, svg.
-Exit codes: 0 ok, 2 parse error, 3 unsupported input, 4 budget exceeded,
+Exit codes: 0 ok, 1 negative cycle (star) or lift not verified
+(lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded,
 5 sampling exhausted.  All output is deterministic given inputs and flags.
 """
 
@@ -119,25 +120,27 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _generators_from_file(path: str) -> tuple[list[SparsePoly], int, tuple[str, ...]]:
     obj = load_json(path)
-    if not isinstance(obj, dict) or "generators" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
         raise MatrixFormatError('expected {"dimension": D, "generators": [...]}')
     dim = obj.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true loads as bool, an int
         raise MatrixFormatError("dimension must be a positive integer")
     gens = []
     for gi, terms in enumerate(obj["generators"]):
+        if not isinstance(terms, list):
+            raise MatrixFormatError(f"generator {gi}: expected a list of terms")
         parsed = []
         for t in terms:
-            e = t.get("exponents")
-            c = t.get("coefficient", 1)
-            if not isinstance(e, list) or len(e) != dim or not isinstance(c, int):
+            e, c = (t.get("exponents"), t.get("coefficient", 1)) if isinstance(t, dict) else (None, None)
+            if not isinstance(e, list) or len(e) != dim or type(c) is not int or \
+                    not all(type(x) is int and x >= 0 for x in e):
                 raise MatrixFormatError(f"generator {gi}: bad term {t!r}")
-            parsed.append((tuple(int(x) for x in e), c))
+            parsed.append((tuple(e), c))
         gens.append(SparsePoly.from_terms(parsed))
-    names = tuple(obj.get("variables", [f"z{i}" for i in range(dim)]))
-    if len(names) != dim:
-        raise MatrixFormatError("variables length must match dimension")
-    return gens, dim, names
+    names = obj.get("variables", [f"z{i}" for i in range(dim)])
+    if not isinstance(names, list) or len(names) != dim or not all(isinstance(x, str) for x in names):
+        raise MatrixFormatError("variables must be a list of dimension names")
+    return gens, dim, tuple(names)
 
 
 def cmd_fan(args: argparse.Namespace) -> int:
@@ -320,6 +323,8 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
     obj = load_json(args.lift)
     if not isinstance(obj, dict) or not {"n", "X", "Y", "A", "B"} <= set(obj):
         return _fail(EXIT_PARSE, 'expected {"n", "X", "Y", "A", "B"}')
+    if any(not isinstance(obj[k], list) or not all(isinstance(r, list) for r in obj[k]) for k in "XY"):
+        return _fail(EXIT_PARSE, "X and Y must be grids of series strings")
     try:
         x = SeriesMatrix.parse(obj["X"])
         y = SeriesMatrix.parse(obj["Y"])

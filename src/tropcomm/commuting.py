@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement, permutations
-from math import gcd
+from math import gcd, inf, lcm
 from typing import Optional, Sequence
 
 from .core import SizeMismatchError, TropMatrix
@@ -395,136 +396,119 @@ class NonMembershipCertificate:
         return monomial_str(self.unique_min_monomial, matrix_variables(n))
 
 
-class _SparseElim:
-    """Sparse exact row elimination with provenance over column ids."""
+def find_monomial_initial_form(
+    a: TropMatrix, b: TropMatrix, *, degree: int = 4
+) -> Optional[NonMembershipCertificate]:
+    """First monomial of the degree-d slice that is an initial form at (A, B).
 
-    def __init__(self) -> None:
-        self.pivots: dict[Monomial, tuple[dict, dict]] = {}
+    The commutator ideal I is homogeneous, so its degree-d piece I_d is
+    spanned by the products (degree d-2 monomial) x (generator).  With w the
+    weight of the pair, a monomial m of value v is the unique minimal term
+    of some f in I_d iff the unit vector of m lies in the span of the
+    value<=v parts of those products.
 
-    def reduce(self, row: dict, prov: dict) -> tuple[Optional[dict], dict]:
-        row = dict(row)
-        prov = dict(prov)
+    One fraction-free integer elimination decides this for every value.
+    Columns are ordered by (value, monomial) and a row pivots on its lowest
+    column, so reduction only raises a row's lowest column and a pivot never
+    changes once stored.  Products go in in order of their lowest column.
+    Once all products whose lowest value is <= v are in, the pivots with a
+    lead of value <= v are final and their value<=v parts span the value<=v
+    part of I_d.  Only a pivot lead can be a unique minimal term, so each
+    lead of value v is then tested, lowest column first, by reducing its
+    unit vector until the lowest remaining column exceeds v.  The integer
+    provenance of a hit is the certificate's combination of products, which
+    must pass the exact unique-argmin check of :func:`evaluate_tropically`.
+
+    At the default degree 4 the search is complete: None proves that no
+    monomial of degree <= 4 lies in in_w(I) (one of lower degree times a
+    variable would be found).  It does not prove membership in the tropical
+    variety.
+    """
+    w = weight_of_pair(a, b)
+    den = lcm(*(x.denominator for x in w))
+    iw = [int(x * den) for x in w]
+    base = degree + 1  # no exponent of a degree-d monomial exceeds d
+    level = base ** len(w)  # the columns of value v are [v*level, (v+1)*level)
+
+    def key(m: Monomial) -> int:
+        # the column (value, monomial) as one int in the same order; keys
+        # add up under multiplication, as long as the degree stays <= d
+        code = 0
+        for e in m:
+            code = code * base + e
+        return sum(k * x for k, x in zip(m, iw)) * level + code
+
+    gens = generators(a.n)
+    gterms = [[(key(m), c) for m, c in g.terms] for g in gens]
+    glow = [min(k for k, _ in t) for t in gterms]
+    names = matrix_variables(a.n)
+    extras = [monomial(names, *c) for c in combinations_with_replacement(names, degree - 2)]
+    # the products (degree d-2 monomial m) x gens[gi], by lowest column
+    products = sorted((key(m) + glow[gi], m, gi) for m in extras for gi in range(len(gens)))
+
+    pivots: dict[int, tuple[dict[int, int], dict[tuple[Monomial, int], int]]] = {}
+    untested: list[int] = []  # heap of pivot leads
+
+    def reduce(row: dict[int, int], prov: dict, stop: float) -> Optional[int]:
+        # eliminate the lowest column while it is below stop and has a
+        # pivot; return the lowest remaining column (None: the row is zero)
         while row:
             c = min(row)
-            hit = self.pivots.get(c)
-            if hit is None:
-                inv = Fraction(1) / row[c]
-                return (
-                    {k: v * inv for k, v in row.items()},
-                    {k: v * inv for k, v in prov.items()},
-                )
-            prow, pprov = hit
-            f = row[c]
-            for k, v in prow.items():
-                nv = row.get(k, Fraction(0)) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            for k, v in pprov.items():
-                nv = prov.get(k, Fraction(0)) - f * v
-                if nv:
-                    prov[k] = nv
-                else:
-                    prov.pop(k, None)
-        return None, prov
+            if c >= stop or c not in pivots:
+                return c
+            prow, pprov = pivots[c]
+            g = gcd(row[c], prow[c])
+            mul, sub = prow[c] // g, row[c] // g
+            for r, pr in ((row, prow), (prov, pprov)):
+                if mul != 1:
+                    for k in r:
+                        r[k] *= mul
+                for k, x in pr.items():
+                    nx = r.get(k, 0) - sub * x
+                    if nx:
+                        r[k] = nx
+                    else:
+                        del r[k]
+            g = gcd(*row.values(), *prov.values())
+            if g > 1:
+                for r in (row, prov):
+                    for k in r:
+                        r[k] //= g
+        return None
 
-    def add(self, row: dict, prov: dict) -> None:
-        r, p = self.reduce(row, prov)
-        if r is not None:
-            self.pivots[min(r)] = (r, p)
-
-
-def find_monomial_initial_form(
-    a: TropMatrix, b: TropMatrix, *, degree: int = 4, max_values: int = 12
-) -> Optional[NonMembershipCertificate]:
-    """Search one graded slice for a monomial initial form, at some values.
-
-    The commutator ideal is homogeneous, so its degree-d piece is spanned by
-    (degree d-2 monomial) x (generator).  A certificate with unique minimal
-    term m of weight v exists iff the unit vector of m lies in the span of
-    the value<=v parts of those products: exact sparse elimination decides
-    this for every monomial of value v, one value at a time.
-
-    The search is not complete for the degree.  The values tried are only
-    the minima of single products, smallest first, and only the first
-    ``max_values`` of them.  A term value that is no product's minimum is
-    never tried, although cancellation among products can leave a unique
-    minimal term there.  For golden pair (a) at degree 4, the products'
-    terms take 36 values, 26 of them product minima (23 is the lowest value
-    that is not one), and the default scans the 12 lowest.  Finding nothing
-    proves only that no degree-d certificate has its minimum at a scanned
-    value.
-    """
-    n = a.n
-    w = weight_of_pair(a, b)
-    gens = generators(n)
-    d = 2 * n * n
-    gmin = [min(_value(m, w) for m in g.monomials()) for g in gens]
-
-    extras: list[Monomial] = []
-    for c in combinations_with_replacement(range(d), degree - 2):
-        e = [0] * d
-        for i in c:
-            e[i] += 1
-        extras.append(tuple(e))
-
-    cand_values = sorted(
-        {_value(m, w) + gv for m in extras for gv in gmin}
-    )[:max_values]
-
-    for v_lim in cand_values:
-        elim = _SparseElim()
-        cols: list[tuple[Monomial, int]] = []
-        cand_monos: set[Monomial] = set()
-        for gi, g in enumerate(gens):
-            for m in extras:
-                if _value(m, w) + gmin[gi] > v_lim:
-                    continue
-                low: dict[Monomial, Fraction] = {}
-                for mm, c in g.terms:
-                    pm = tuple(x + y for x, y in zip(mm, m))
-                    pv = _value(pm, w)
-                    if pv <= v_lim:
-                        low[pm] = low.get(pm, Fraction(0)) + c
-                        if pv == v_lim:
-                            cand_monos.add(pm)
-                low = {k: v for k, v in low.items() if v}
-                if low:
-                    cid = len(cols)
-                    cols.append((m, gi))
-                    elim.add(low, {cid: Fraction(1)})
-        for target in sorted(cand_monos):
-            rem, prov = elim.reduce({target: Fraction(1)}, {})
-            if rem is not None:
+    def close(below: float) -> Optional[NonMembershipCertificate]:
+        # test the untested pivot leads below ``below``; they are final
+        while untested and untested[0] < below:
+            target = heappop(untested)
+            stop = (target // level + 1) * level
+            prov: dict[tuple[Monomial, int], int] = {}
+            rest = reduce({target: 1}, prov, stop)
+            if rest is not None and rest < stop:
                 continue
-            # e_target + sum(prov[c] * product_c) = 0; rebuild over Z
-            f = _integral_combination(gens, cols, prov)
+            f = SparsePoly.from_terms(t for (m, gi), k in prov.items() for t in gens[gi].mul_monomial(m, k))
             ev = evaluate_tropically(f, w)
-            if len(ev.argmin) == 1 and ev.argmin[0] == target and ev.runner_up is not None:
+            if len(ev.argmin) == 1 and key(ev.argmin[0]) == target and ev.runner_up is not None:
                 return NonMembershipCertificate(
                     source=f"slice[deg={degree}]",
                     polynomial=f,
-                    unique_min_monomial=target,
+                    unique_min_monomial=ev.argmin[0],
                     min_value=ev.min_value,
                     runner_up_value=ev.runner_up,
                 )
-    return None
+        return None
 
-
-def _integral_combination(
-    gens: Sequence[SparsePoly], cols: Sequence[tuple[Monomial, int]], prov: dict
-) -> SparsePoly:
-    """Rebuild -sum(prov[c] * product_c) with integer coefficients."""
-    denom = 1
-    for v in prov.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    f = SparsePoly.zero()
-    for cid, coef in prov.items():
-        m, gi = cols[cid]
-        k = -coef * denom
-        f = f + gens[gi].mul_monomial(m).scale(int(k))
-    return f
+    for low, m, gi in products:
+        # every value below this product's lowest one is closed
+        cert = close(low // level * level)
+        if cert is not None:
+            return cert
+        row = {k + low - glow[gi]: c for k, c in gterms[gi]}
+        prov = {(m, gi): 1}
+        lead = reduce(row, prov, inf)
+        if lead is not None:
+            pivots[lead] = (row, prov)
+            heappush(untested, lead)
+    return close(inf)
 
 
 def certify_not_in_tc3(
@@ -534,10 +518,10 @@ def certify_not_in_tc3(
 
     Searches the generator / deg-3 / deg-4 witness families in order; when
     they all tie and ``deep`` is set, falls back to the degree-4 slice
-    search of :func:`find_monomial_initial_form` at its default
-    ``max_values`` (the 12 lowest product-minimum values, not every value
-    of the slice).  Returns None when nothing is found (inconclusive: this
-    is never a membership proof).
+    search of :func:`find_monomial_initial_form`, which covers every value.
+    Returns None when nothing is found.  With ``deep`` that proves no
+    monomial of degree <= 4 is an initial form at (A, B); it is never a
+    membership proof.
     """
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")

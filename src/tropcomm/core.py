@@ -339,7 +339,7 @@ def matrix_from_json(obj: object) -> TropMatrix:
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise MatrixFormatError('expected {"n": int, "entries": [[...]]}')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true loads as bool, an int
         raise MatrixFormatError("n must be a positive integer")
     return _entries_from_obj(obj["entries"], n, "entries")
 
@@ -349,7 +349,7 @@ def pair_from_json(obj: object) -> tuple[TropMatrix, TropMatrix]:
     if not isinstance(obj, dict) or not {"n", "A", "B"} <= set(obj):
         raise MatrixFormatError('expected {"n": int, "A": [[...]], "B": [[...]]}')
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true loads as bool, an int
         raise MatrixFormatError("n must be a positive integer")
     return _entries_from_obj(obj["A"], n, "A"), _entries_from_obj(obj["B"], n, "B")
 

@@ -105,11 +105,6 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
-    def scale(self, k: int) -> "SparsePoly":
-        if k == 0:
-            return SparsePoly.zero()
-        return SparsePoly(tuple((m, k * c) for m, c in self.terms))
-
     def mul_monomial(self, m: Monomial, k: int = 1) -> "SparsePoly":
         return SparsePoly.from_terms(
             ((tuple(a + b for a, b in zip(mm, m)), k * c) for mm, c in self.terms)

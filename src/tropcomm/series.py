@@ -126,9 +126,9 @@ def format_series(s: SeriesPoly) -> str:
 _TERM_RE = re.compile(
     r"""^\s*
     (?P<sign>[+-])?\s*
-    (?P<coeff>\d+(?:/\d+)?(?:\.\d+)?)?           # optional rational magnitude
+    (?P<coeff>\d+(?:/0*[1-9]\d*)?(?:\.\d+)?)?     # optional rational magnitude
     \s*\*?\s*
-    (?P<t>t(?:\^(?P<exp>\(?-?\d+(?:/\d+)?\)?))?)?
+    (?P<t>t(?:\^(?P<exp>\(?-?\d+(?:/0*[1-9]\d*)?\)?))?)?
     \s*$""",
     re.VERBOSE,
 )
@@ -160,6 +160,8 @@ def _split_terms(text: str) -> list[str]:
 
 def parse_series(text: str) -> SeriesPoly:
     """Parse sums of ``c*t^(p/q)`` terms: ``1+t``, ``t^4``, ``-2*t^(1/2)``."""
+    if not isinstance(text, str):
+        raise ValueError(f"series must be a string, not {text!r}")
     text = text.strip()
     if not text or text == "0":
         return SeriesPoly.zero()

@@ -145,6 +145,11 @@ def test_star_command(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"n": 2, "entries": [["0", "2"], ["1", "0"]]}
 
+    path.write_text(json.dumps({"n": 2, "entries": [["0", "-1"], ["-1", "0"]]}))
+    code, out, err = run(capsys, "star", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
 
 def test_gens_command(capsys):
     code, out, _ = run(capsys, "gens", "--n", "2")
@@ -203,6 +208,33 @@ def test_lift_verify_published_and_perturbed(tmp_path, capsys):
     assert code == 1
     assert "NOT VERIFIED" in out
     assert "commutation fails at (1,2)" in out
+
+
+_ZEROS2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("lift-verify", {"n": 2, "X": [["t^(1/0)", "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": [[5, "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": 5, "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("fan", {"dimension": 2, "generators": [[5]]}),
+    ("fan", {"dimension": 2, "generators": 5}),
+    ("fan", {"dimension": 2, "generators": [[{"exponents": [1.5, 0]}]]}),
+    ("fan", {"dimension": 2, "generators": [[{"exponents": [1, 0]}]], "variables": 7}),
+    ("fan", {"dimension": True, "generators": [[{"exponents": [1]}]]}),
+    ("star", {"n": True, "entries": [["0"]]}),
+    ("check", {"n": True, "A": [["0"]], "B": [["0"]]}),
+], ids=[
+    "series-zero-denominator", "series-not-a-string", "series-not-a-grid",
+    "term-not-an-object", "generators-not-a-list", "fractional-exponent",
+    "variables-not-a-list", "dimension-true", "star-n-true", "check-n-true",
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_svg_command(tmp_path, capsys):

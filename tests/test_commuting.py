@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from tropcomm import (
     TropMatrix,
     certify_not_in_tc3,
@@ -30,7 +32,7 @@ from tropcomm.polynomials import (
 
 from helpers import (
     M, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F, S31_A, S31_B, TC2_A, TC2_B,
-    random_finite_matrix, random_prevariety_2x2_pair,
+    initial_slice_ranks, random_finite_matrix, random_prevariety_2x2_pair,
 )
 
 X2 = matrix_variables(2)
@@ -239,22 +241,44 @@ def test_certificate_never_fires_on_equal_pairs():
         assert certify_not_in_tc3(a, a, deep=False) is None
 
 
+def _deep_only_certificate(a, b):
+    """The deep search certifies (A, B) where every witness polynomial ties,
+    and the certificate polynomial has the unique argmin it claims."""
+    assert certify_not_in_tc3(a, b, deep=False) is None
+    cert = certify_not_in_tc3(a, b, deep=True)
+    assert cert is not None
+    assert cert.source.startswith("slice")
+    w = weight_of_pair(a, b)
+    ok, ev = trop_satisfied(cert.polynomial, w)
+    assert not ok and ev.argmin == (cert.unique_min_monomial,)
+    assert ev.min_value == cert.min_value and ev.runner_up == cert.runner_up_value
+    return cert
+
+
 def test_deep_search_extends_the_witness_family():
     # in TS and Tpre, all witness families tie, yet a degree-4 ideal element
     # has a unique minimal monomial
     a = M([[2, 2, 3], [1, 2, 0], [4, 3, 2]])
     b = M([[0, 3, 0], [2, 0, 4], [3, 4, 0]])
     assert in_ts(a, b) and in_tpre(a, b).ok
-    assert certify_not_in_tc3(a, b, deep=False) is None
-    cert = certify_not_in_tc3(a, b, deep=True)
-    assert cert is not None
-    assert cert.source.startswith("slice")
+    cert = _deep_only_certificate(a, b)
     assert cert.monomial_name() == "x21*x32*y13*y33"
-    # soundness: the certificate polynomial has the unique argmin it claims
-    w = weight_of_pair(a, b)
-    ok, ev = trop_satisfied(cert.polynomial, w)
-    assert not ok and ev.argmin == (cert.unique_min_monomial,)
-    assert ev.min_value == cert.min_value and ev.runner_up == cert.runner_up_value
+
+
+@pytest.mark.parametrize("a, b", [
+    (M([["-7/8", "131/8", "103/8"], ["47/8", "-7/8", "37/8"], ["-45/8", "69/8", "-7/8"]]),
+     M([[1, "37/4", "47/4"], ["-41/4", 1, "-5/2"], ["-3/4", "3/2", 1]])),
+    (M([["-9/2", -9, "11/4"], [6, "-9/2", "37/4"], ["-7/4", "-9/4", "-9/2"]]),
+     M([["53/8", "33/8", "63/8"], ["121/8", "53/8", "115/8"], ["27/8", "-25/8", "53/8"]])),
+], ids=["shift1", "shift2"])
+def test_deep_search_certifies_shifted_images(a, b):
+    # images of the pair above under S3 x S2, scaling and a homogeneity
+    # shift, which spreads the products' minima over 303 and 257 values; the
+    # certificates sit at the 43rd and 77th of them, out of reach of a scan
+    # of only the lowest few values
+    cert = _deep_only_certificate(a, b)
+    rank, with_target = initial_slice_ranks(a, b, cert.unique_min_monomial)
+    assert rank == with_target
 
 
 def test_classify_pair_regions():
