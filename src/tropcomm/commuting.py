@@ -82,7 +82,7 @@ def labeled_generators(n: int) -> list[tuple[tuple[int, int], SparsePoly]]:
             g = commutator_entry(n, k, l)
             if not g:
                 continue
-            if any(g.same_support_up_to_sign(prev) for _, prev in out):
+            if any(g.equal_up_to_sign(prev) for _, prev in out):
                 continue
             out.append(((k, l), g))
     return out
@@ -355,7 +355,7 @@ def witness_family() -> list[tuple[str, SparsePoly]]:
     seen: list[SparsePoly] = []
 
     def push(label: str, f: SparsePoly) -> None:
-        if any(f.same_support_up_to_sign(p) for p in seen):
+        if any(f.equal_up_to_sign(p) for p in seen):
             return
         seen.append(f)
         family.append((label, f))

@@ -99,6 +99,8 @@ class TropScalar:
             return INF
         if isinstance(x, str):
             return scalar_from_text(x)
+        if isinstance(x, bool):  # an int subclass, never a valid entry
+            raise MatrixFormatError(f"bad entry {x!r}: not a number")
         return TropScalar(Fraction(x))
 
     @property
@@ -364,8 +366,10 @@ def pair_to_json(a: TropMatrix, b: TropMatrix) -> dict:
 
 
 def load_json(path: str) -> object:
+    """Parse a JSON file; numbers with a fraction part or an exponent are
+    read exactly from their text (``0.1`` is 1/10), never through float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Fraction)
     except (OSError, json.JSONDecodeError) as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
@@ -257,18 +258,19 @@ class _Node:
         if not free:
             return None
         # cheap interior guess: the negated sum of the strict normals
-        guess = [Fraction(0)] * len(free)
-        for r in rows:
-            for i, f in enumerate(free):
-                guess[i] -= r[f]
+        guess = [-sum(r[f] for r in rows) for f in free]
         if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
-            return lift_witness(guess, self.pivots, free, dim)
+            return lift_witness([Fraction(g) for g in guess], self.pivots, free, dim)
         return strict_feasibility(tuple(self.pivots.values()), rows, dim)
 
 
 def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[Fraction]) -> None:
+    """Exact argmin check of every generator at w, in integers: w scaled by
+    the lcm of its denominators has the same argmins."""
+    scale = lcm(*(x.denominator for x in w))
+    wi = [x.numerator * (scale // x.denominator) for x in w]
     for terms, sub in zip(gens_terms, pattern):
-        vals = [sum(k * w[i] for i, k in enumerate(m) if k) for m in terms]
+        vals = [sum(k * wi[i] for i, k in enumerate(m) if k) for m in terms]
         mn = min(vals)
         argmin = tuple(t for t, v in enumerate(vals) if v == mn)
         if argmin != sub:
@@ -276,8 +278,8 @@ def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w
 
 
 def _enumerate_branch(args) -> list[tuple[Pattern, int, tuple[Fraction, ...]]]:
-    gens_terms, dim, first_index = args
-    tables = _gen_tables([SparsePoly(tuple((m, 1) for m in terms)) for terms in gens_terms], dim)
+    tables, dim, first_index = args
+    gens_terms = [terms for terms, _ in tables]
     root = _Node.root()
     out: list[tuple[Pattern, int, tuple[Fraction, ...]]] = []
 
@@ -313,7 +315,8 @@ def enumerate_cells(
 
     Raises :class:`BudgetExceededError` when the candidate product exceeds
     ``budget``.  ``jobs`` > 1 distributes the top-level branches over a
-    process pool; the result is identical and deterministically ordered.
+    process pool of min(jobs, CPU count, branches) workers; the result is
+    identical and deterministically ordered.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -323,25 +326,27 @@ def enumerate_cells(
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    gens_terms = tuple(g.monomials() for g in gens)
-    nfirst = len(argmin_subsets(len(gens_terms[0])))
+    tables = _gen_tables(gens, dim)
+    nfirst = len(tables[0][1])
     if jobs > 1 and total > 4 * nfirst:
-        tasks = [(gens_terms, dim, i) for i in range(nfirst)]
-        with Pool(processes=jobs) as pool:
+        tasks = [(tables, dim, i) for i in range(nfirst)]
+        with Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
             chunks = pool.map(_enumerate_branch, tasks)
         raw = [cell for chunk in chunks for cell in chunk]
     else:
-        raw = _enumerate_branch((gens_terms, dim, None))
+        raw = _enumerate_branch((tables, dim, None))
 
     raw.sort(key=lambda c: c[0])
+    # a cell's rows are its generators' table rows, shared between cells
+    systems = [{sub: (eqs, stricts) for sub, eqs, stricts in entries} for _, entries in tables]
     cells = []
     for pattern, dim_cell, w in raw:
-        eqs, stricts = cell_system(gens, pattern)
+        parts = [level[sub] for level, sub in zip(systems, pattern)]
         cells.append(
             Cell(
                 pattern=pattern,
-                equalities=tuple(primitive(e) for e in eqs),
-                inequalities=tuple(stricts),
+                equalities=tuple(row for eqs, _ in parts for row in eqs),
+                inequalities=tuple(row for _, stricts in parts for row in stricts),
                 dim=dim_cell,
                 witness=w,
             )

@@ -129,7 +129,8 @@ class SparsePoly:
             out.append((tuple(e), c))
         return SparsePoly.from_terms(out)
 
-    def same_support_up_to_sign(self, other: "SparsePoly") -> bool:
+    def equal_up_to_sign(self, other: "SparsePoly") -> bool:
+        """self == other or self == -other (same terms, coefficients up to sign)."""
         return self == other or self == -other
 
     def render(self, names: tuple[str, ...]) -> str:

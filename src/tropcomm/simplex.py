@@ -1,10 +1,15 @@
-"""Exact rational linear algebra and a small simplex solver.
+"""Exact integer linear algebra and a small fraction-free simplex solver.
 
 Feasibility of a homogeneous system {E w = 0, S w < 0} is decided by
 maximizing an auxiliary slack t subject to S w + t <= 0 and t <= 1: the
 optimum is 1 exactly when the open cone is nonempty (scale any strict
 solution), and the optimal vertex yields an interior rational witness.
 Bland's rule guarantees termination on the degenerate start.
+
+All pivoting is on integer rows.  Elimination clears a column by
+cross-multiplying and divides each new row by the gcd of its entries; the
+simplex tableau does the same (Edmonds 1967; Bareiss 1968), so no
+``Fraction`` is built until the optimal vertex is read off.
 """
 
 from __future__ import annotations
@@ -95,64 +100,69 @@ def null_space_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[Frac
     return basis
 
 
-def _simplex_max_t(strict_rows: Sequence[Sequence[Fraction]], d: int) -> tuple[Fraction, list[Fraction]]:
-    """max t s.t. row.z + t <= 0 for each row, t <= 1, z free; Bland's rule."""
+def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[Fraction, list[Fraction]]:
+    """max t s.t. row.z + t <= 0 for each row, t <= 1, z free; Bland's rule.
+
+    Fraction-free: row i of the tableau is a positive multiple of its
+    normalised form, with its basic variable's coefficient in place of the
+    leading 1.  Every update scales by the positive pivot and divides by the
+    row's gcd, so signs, ratios and the Bland path are those of the
+    normalised rational tableau."""
     m = len(strict_rows)
     nvars = 2 * d + 1  # z+, z-, t
-    width = nvars + m + 1 + 1  # + slacks + rhs
-    tab: list[list[Fraction]] = []
-    zero = Fraction(0)
-    one = Fraction(1)
+    tab: list[list[int]] = []
     for i, row in enumerate(strict_rows):
-        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [one]
-        r += [one if j == i else zero for j in range(m + 1)]
-        r.append(zero)
+        r = list(row) + [-x for x in row] + [1]
+        r += [1 if j == i else 0 for j in range(m + 1)]
+        r.append(0)
         tab.append(r)
-    last = [zero] * (2 * d) + [one] + [one if j == m else zero for j in range(m + 1)] + [one]
-    tab.append(last)
+    tab.append([0] * (2 * d) + [1] + [1 if j == m else 0 for j in range(m + 1)] + [1])
     nrows = m + 1
     basis = [nvars + i for i in range(nrows)]
-    cost = [zero] * width
-    cost[2 * d] = Fraction(-1)  # maximize t
+    cost = [0] * (nvars + nrows + 1)
+    cost[2 * d] = -1  # maximize t
 
     while True:
-        enter = -1
-        for j in range(nvars + nrows):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(nvars + nrows) if cost[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Optional[Fraction] = None
         for i in range(nrows):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / a < rhs_leave / a_leave, with both denominators > 0
+                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise UnboundedNormalizationError("t <= 1 should bound the program")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
         prow = tab[leave]
+        piv = prow[enter]
         for i in range(nrows):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    tab[i] = [a - f * p for a, p in zip(tab[i], prow)]
+            f = tab[i][enter]
+            if i != leave and f:
+                tab[i] = _fraction_free(tab[i], prow, piv, f)
         f = cost[enter]
         if f:
-            cost = [a - f * p for a, p in zip(cost, prow)]
+            cost = _fraction_free(cost, prow, piv, f)
         basis[leave] = enter
 
-    x = [zero] * (nvars + nrows)
+    x = [Fraction(0)] * (nvars + nrows)
     for i, b in enumerate(basis):
-        x[b] = tab[i][-1]
+        x[b] = Fraction(tab[i][-1], tab[i][b])
     t = x[2 * d]
     z = [x[j] - x[d + j] for j in range(d)]
     return t, z
+
+
+def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[int]:
+    """piv*row - f*prow divided by its gcd: clears the pivot column (piv > 0)."""
+    r = [piv * a - f * p for a, p in zip(row, prow)]
+    g = gcd(*r)
+    return [a // g for a in r] if g > 1 else r
 
 
 @dataclass(frozen=True)

@@ -211,3 +211,67 @@ def random_prevariety_2x2_pair(rng: random.Random) -> tuple[TropMatrix, TropMatr
     a = TropMatrix.of([[w1 - v, a12], [a21, w2 - v]])
     b = TropMatrix.of([[b11, b12], [a21 + b12 - a12, b22]])
     return a, b
+
+
+def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction]]:
+    """Independent LP oracle: max t s.t. row.z + t <= 0 for each row, t <= 1,
+    z free, on a dense Fraction tableau normalised to unit pivots.
+
+    Same program and pivoting rule as ``simplex._simplex_max_t`` (columns
+    z+, z-, t, slacks, rhs; Bland's lowest entering column; minimum ratio,
+    ties to the lowest basis index), so the two return the same vertex."""
+    m = len(strict_rows)
+    nvars = 2 * d + 1  # z+, z-, t
+    width = nvars + m + 1 + 1  # + slacks + rhs
+    tab: list[list[Fraction]] = []
+    zero = Fraction(0)
+    one = Fraction(1)
+    for i, row in enumerate(strict_rows):
+        r = [Fraction(x) for x in row] + [Fraction(-x) for x in row] + [one]
+        r += [one if j == i else zero for j in range(m + 1)]
+        r.append(zero)
+        tab.append(r)
+    last = [zero] * (2 * d) + [one] + [one if j == m else zero for j in range(m + 1)] + [one]
+    tab.append(last)
+    nrows = m + 1
+    basis = [nvars + i for i in range(nrows)]
+    cost = [zero] * width
+    cost[2 * d] = Fraction(-1)  # maximize t
+
+    while True:
+        enter = -1
+        for j in range(nvars + nrows):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(nrows):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        assert leave >= 0, "t <= 1 should bound the program"
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        for i in range(nrows):
+            if i != leave:
+                f = tab[i][enter]
+                if f:
+                    tab[i] = [a - f * p for a, p in zip(tab[i], prow)]
+        f = cost[enter]
+        if f:
+            cost = [a - f * p for a, p in zip(cost, prow)]
+        basis[leave] = enter
+
+    x = [zero] * (nvars + nrows)
+    for i, b in enumerate(basis):
+        x[b] = tab[i][-1]
+    t = x[2 * d]
+    z = [x[j] - x[d + j] for j in range(d)]
+    return t, z

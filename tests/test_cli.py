@@ -224,10 +224,12 @@ _ZEROS2 = [["0", "0"], ["0", "0"]]
     ("fan", {"dimension": True, "generators": [[{"exponents": [1]}]]}),
     ("star", {"n": True, "entries": [["0"]]}),
     ("check", {"n": True, "A": [["0"]], "B": [["0"]]}),
+    ("check", {"n": 2, "A": [[True, 0], [0, 0]], "B": [[0, 0], [0, 0]]}),
 ], ids=[
     "series-zero-denominator", "series-not-a-string", "series-not-a-grid",
     "term-not-an-object", "generators-not-a-list", "fractional-exponent",
     "variables-not-a-list", "dimension-true", "star-n-true", "check-n-true",
+    "entry-true",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "in.json"
@@ -235,6 +237,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_json_numbers_are_read_exactly(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "entries": [[0, 0.1], [2.5e-1, 0]]}')
+    code, out, _ = run(capsys, "star", str(path))
+    assert code == 0
+    assert json.loads(out)["entries"] == [["0", "1/10"], ["1/4", "0"]]
 
 
 def test_svg_command(tmp_path, capsys):

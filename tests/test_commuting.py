@@ -219,7 +219,7 @@ def test_witness_family_order_and_dedup():
     polys = [f for _, f in fam]
     for i, f in enumerate(polys):
         for g in polys[i + 1:]:
-            assert not f.same_support_up_to_sign(g)
+            assert not f.equal_up_to_sign(g)
 
 
 def test_certificates_on_separating_pairs():

@@ -7,11 +7,13 @@ import pytest
 
 from tropcomm import (
     BudgetExceededError,
+    fan,
     enumerate_cells,
     f_vector,
     generators,
     lineality_space,
     named_config,
+    symmetric_generators,
     trop_satisfied,
 )
 from tropcomm.fan import (
@@ -19,10 +21,12 @@ from tropcomm.fan import (
     KNOWN_FVECTOR_VARIETY_3,
     argmin_subsets,
     candidate_count,
+    _verify_cell,
     cell_system,
     relative_interior_feasible,
 )
 from tropcomm.polynomials import SparsePoly
+from tropcomm.simplex import primitive
 
 
 def test_lineality_dimensions():
@@ -225,3 +229,57 @@ def test_relative_interior_feasible_accepts_cells():
     for c in cells[:4]:
         w = relative_interior_feasible(c)
         assert w is not None
+
+
+def _fan_systems():
+    g12, g13, g23 = symmetric_generators()
+    cfg = named_config("commuting:n=2")
+    return [(list(cfg.gens), cfg.dim), ([g23, g13], 12)]
+
+
+def test_cells_share_the_rows_of_cell_system():
+    for gens, dim in _fan_systems():
+        cells = enumerate_cells(gens, dim)
+        for c in cells:
+            eqs, stricts = cell_system(gens, c.pattern)
+            assert c.equalities == tuple(primitive(e) for e in eqs)
+            assert c.inequalities == tuple(stricts)
+
+
+def test_verify_cell_rejects_a_nudged_witness():
+    for gens, dim in _fan_systems():
+        cells = enumerate_cells(gens, dim)
+        terms = [g.monomials() for g in gens]
+        for c in cells:
+            _verify_cell(terms, c.pattern, c.witness)
+            # moving along a tie row breaks that tie, so the pattern changes
+            tie = c.equalities[0]
+            nudged = [x + Fraction(k, 997) for x, k in zip(c.witness, tie)]
+            with pytest.raises(AssertionError):
+                _verify_cell(terms, c.pattern, nudged)
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    g12, g13, g23 = symmetric_generators()
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(fan, "Pool", SerialPool)
+    serial = enumerate_cells([g23, g13], 12)
+    branches = len(argmin_subsets(len(g23)))
+    for cpus, expected in ((3, 3), (None, 1), (10 ** 6, branches)):
+        monkeypatch.setattr(fan.os, "cpu_count", lambda: cpus)
+        assert enumerate_cells([g23, g13], 12, jobs=10 ** 6) == serial
+        assert sizes[-1] == expected

@@ -1,0 +1,59 @@
+"""The fraction-free simplex against an independent Fraction tableau."""
+
+import random
+from fractions import Fraction
+
+from tropcomm import enumerate_cells, simplex, symmetric_generators
+
+from helpers import fraction_simplex_max_t
+
+
+def random_system(rng: random.Random) -> tuple[list[tuple[int, ...]], int]:
+    """m <= 8 rows of width d <= 10, entries -3..3, with repeated, opposite
+    and zero rows mixed in."""
+    d = rng.randint(1, 10)
+    rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+    while len(rows) < 8 and rng.random() < 0.5:
+        src = rng.choice(rows)
+        rows.append(rng.choice([src, tuple(-x for x in src), (0,) * d]))
+    rng.shuffle(rows)
+    return rows, d
+
+
+def assert_same_vertex(rows, d) -> Fraction:
+    """Both tableaux give the same optimal (t, z); returns t."""
+    t, z = simplex._simplex_max_t(rows, d)
+    t_ref, z_ref = fraction_simplex_max_t(rows, d)
+    assert (t, z) == (t_ref, z_ref)
+    assert all(type(x) is Fraction for x in [t, *z])
+    return t
+
+
+def test_integer_tableau_matches_fraction_tableau_on_random_systems():
+    rng = random.Random(4)
+    optimal = 0
+    for _ in range(300):
+        rows, d = random_system(rng)
+        optimal += assert_same_vertex(rows, d) == 1
+    assert 0 < optimal < 300  # both feasible and infeasible cones occur
+
+
+def test_integer_tableau_matches_fraction_tableau_on_every_fan_lp(monkeypatch):
+    # commuting:n=2 issues no LP (the cheap guess settles every prefix), so
+    # the LPs come from two generators of the symmetric 3x3 ideal, g23 and g13
+    g12, g13, g23 = symmetric_generators()
+    issued = []
+    real = simplex._simplex_max_t
+
+    def record(rows, d):
+        issued.append((rows, d))
+        return real(rows, d)
+
+    monkeypatch.setattr(simplex, "_simplex_max_t", record)
+    cells = enumerate_cells([g23, g13], 12)
+    monkeypatch.undo()
+    assert len(cells) == 2769 and len(issued) == 1193
+    infeasible = 0
+    for rows, d in issued:
+        infeasible += assert_same_vertex(rows, d) <= 0
+    assert infeasible == 160
