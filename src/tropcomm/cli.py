@@ -152,7 +152,12 @@ def cmd_fan(args: argparse.Namespace) -> int:
         cfg = fan_mod.named_config(args.config)
         gens, dim, names, symmetric = list(cfg.gens), cfg.dim, cfg.names, cfg.symmetric
         label = cfg.name
-    budget = args.budget if args.budget is not None else fan_mod.default_budget()
+    budget = args.budget
+    if budget is None:
+        try:
+            budget = fan_mod.default_budget()
+        except ValueError as exc:
+            return _fail(EXIT_PARSE, str(exc))
     _, lin = fan_mod.lineality_space(gens, dim)
     try:
         cells = fan_mod.enumerate_cells(gens, dim, budget=budget, jobs=args.jobs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, permutations
 from math import gcd, inf, lcm
@@ -68,11 +69,13 @@ def commutator_entry(n: int, k: int, l: int) -> SparsePoly:
     return SparsePoly.from_terms(terms)
 
 
-def labeled_generators(n: int) -> list[tuple[tuple[int, int], SparsePoly]]:
+@cache
+def labeled_generators(n: int) -> tuple[tuple[tuple[int, int], SparsePoly], ...]:
     """Nonzero commutator entries in row-major order, sign-duplicates dropped.
 
     For n=2 the (2,2) entry is exactly minus the (1,1) entry (the commutator
-    has zero trace), so three generators remain.
+    has zero trace), so three generators remain.  Built once per n; the
+    tuple of immutable polynomials is shared by every caller.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -85,18 +88,20 @@ def labeled_generators(n: int) -> list[tuple[tuple[int, int], SparsePoly]]:
             if any(g.equal_up_to_sign(prev) for _, prev in out):
                 continue
             out.append(((k, l), g))
-    return out
+    return tuple(out)
 
 
-def generators(n: int) -> list[SparsePoly]:
-    return [g for _, g in labeled_generators(n)]
+@cache
+def generators(n: int) -> tuple[SparsePoly, ...]:
+    return tuple(g for _, g in labeled_generators(n))
 
 
-def symmetric_generators() -> list[SparsePoly]:
+@cache
+def symmetric_generators() -> tuple[SparsePoly, ...]:
     """The three 6-term generators of the symmetric 3x3 commuting ideal.
 
     Entry (k,l) of XY - YX with X, Y symmetric, written in the 12 variables
-    x_ij, y_ij (i <= j); the diagonal entries vanish identically.
+    x_ij, y_ij (i <= j); the diagonal entries vanish identically.  Built once.
     """
     names = symmetric_variables()
 
@@ -110,7 +115,7 @@ def symmetric_generators() -> list[SparsePoly]:
             terms.append((monomial(names, var("x", k, s), var("y", s, l)), 1))
             terms.append((monomial(names, var("y", k, s), var("x", s, l)), -1))
         out.append(SparsePoly.from_terms(terms))
-    return out
+    return tuple(out)
 
 
 def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
@@ -125,6 +130,12 @@ def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
                     raise ValueError("weight vectors require finite entries")
                 vals.append(e.value)  # type: ignore[arg-type]
     return tuple(vals)
+
+
+def _int_weight(w: WeightVector) -> tuple[int, ...]:
+    """w scaled by the lcm of its denominators: the same argmins, in ints."""
+    den = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (den // x.denominator) for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +185,13 @@ def trop_satisfied(f: SparsePoly, w: WeightVector) -> tuple[bool, TropEvaluation
     return ev.satisfied, ev
 
 
+def _min_attained_twice(f: SparsePoly, iw: Sequence[int]) -> bool:
+    """trop_satisfied at an integer weight from :func:`_int_weight`, without
+    building the evaluation."""
+    vals = [sum(k * x for k, x in zip(m, iw)) for m, _ in f.terms]
+    return vals.count(min(vals)) >= 2
+
+
 # ---------------------------------------------------------------------------
 # membership tests
 # ---------------------------------------------------------------------------
@@ -191,30 +209,27 @@ class TpreResult:
 
 def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
     """Prevariety membership: every commutator generator tropically satisfied."""
-    w = weight_of_pair(a, b)
-    fails = []
-    for label, g in labeled_generators(a.n):
-        ok, _ = trop_satisfied(g, w)
-        if not ok:
-            fails.append(label)
-    return TpreResult(ok=not fails, failures=tuple(fails))
+    iw = _int_weight(weight_of_pair(a, b))
+    fails = tuple(label for label, g in labeled_generators(a.n) if not _min_attained_twice(g, iw))
+    return TpreResult(ok=not fails, failures=fails)
 
 
 def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
-    """Membership test for the 2x2 tropical commuting variety.
+    """Membership in the 2x2 tropical commuting variety TC2, which is Tpre2.
 
-    A@B == B@A together with the exchange relation
-    a12 + b21 == a21 + b12.  This is the standard generic-position test; on
-    the boundary cells where the products disagree through cancelling lifts
-    it can report False for points that do admit commuting lifts.
+    TC2 lies in every tropical hypersurface of the ideal, so in Tpre2.
+    Conversely, Tpre2 is the exchange hyperplane a12 + b21 == a21 + b12
+    (the tie of g11) on which the minimum of {b11, b22, v+a11, v+a22},
+    v = b12 - a12, is attained twice (g12 and g21 both have these term
+    weights there).  :func:`tropcomm.series.lift_2x2` lifts every such
+    point to commuting series matrices, each lift checked exactly, and by
+    the fundamental theorem of tropical geometry (Maclagan-Sturmfels 2015)
+    a lift proves membership.  So the test is :func:`in_tpre`, which raises
+    ValueError on an infinite entry.
     """
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
-    w = weight_of_pair(a, b)
-    if not (a.all_finite() and b.all_finite()):
-        raise ValueError("finite entries required")
-    hyper = w[1] + w[6] == w[2] + w[5]  # x12 + y21 == x21 + y12
-    return hyper and in_ts(a, b)
+    return in_tpre(a, b).ok
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +360,12 @@ def witness_deg4(g: GroupElement = ((1, 2, 3), False)) -> SparsePoly:
     return apply_group(f, g, names)
 
 
-def witness_family() -> list[tuple[str, SparsePoly]]:
+@cache
+def witness_family() -> tuple[tuple[str, SparsePoly], ...]:
     """generators, then the deg-3 orbit, then the deg-4 orbit; deduplicated.
 
     Cheapest certificates first; orbit members equal up to sign are listed
-    once, labeled by their construction.
+    once, labeled by their construction.  Built once and shared.
     """
     family: list[tuple[str, SparsePoly]] = []
     seen: list[SparsePoly] = []
@@ -366,7 +382,7 @@ def witness_family() -> list[tuple[str, SparsePoly]]:
         push(f"deg3[{_gname(ge)}]", witness_deg3(ge))
     for ge in group_elements(3):
         push(f"deg4[{_gname(ge)}]", witness_deg4(ge))
-    return family
+    return tuple(family)
 
 
 def _gname(g: GroupElement) -> str:
@@ -425,8 +441,7 @@ def find_monomial_initial_form(
     variety.
     """
     w = weight_of_pair(a, b)
-    den = lcm(*(x.denominator for x in w))
-    iw = [int(x * den) for x in w]
+    iw = _int_weight(w)
     base = degree + 1  # no exponent of a degree-d monomial exceeds d
     level = base ** len(w)  # the columns of value v are [v*level, (v+1)*level)
 
@@ -522,14 +537,20 @@ def certify_not_in_tc3(
     Returns None when nothing is found.  With ``deep`` that proves no
     monomial of degree <= 4 is an initial form at (A, B); it is never a
     membership proof.
+
+    Ties are tested on integer term values; the first member without one
+    is evaluated exactly, and that evaluation must confirm the unique
+    argmin before it becomes the certificate.
     """
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")
     w = weight_of_pair(a, b)
+    iw = _int_weight(w)
     for label, f in witness_family():
+        if _min_attained_twice(f, iw):
+            continue
         ev = evaluate_tropically(f, w)
-        if len(ev.argmin) == 1:
-            assert ev.runner_up is not None
+        if len(ev.argmin) == 1 and ev.runner_up is not None:
             return NonMembershipCertificate(
                 source=label,
                 polynomial=f,
@@ -565,12 +586,13 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
         raise ValueError("classification is implemented for n in {2, 3}")
     from .core import trop_mul
 
-    ts = in_ts(a, b)
-    ts_wit = None if ts else first_difference(trop_mul(a, b), trop_mul(b, a))
+    ab, ba = trop_mul(a, b), trop_mul(b, a)
+    ts = ab == ba
+    ts_wit = None if ts else first_difference(ab, ba)
     tpre = in_tpre(a, b)
     cert = None
     if a.n == 2:
-        status = "in" if in_tc2(a, b) else "out"
+        status = "in" if tpre.ok else "out"  # TC2 = Tpre2, see in_tc2
     else:
         cert = certify_not_in_tc3(a, b, deep=deep)
         status = "certified-out" if cert is not None else "unknown"

@@ -85,9 +85,13 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class TropScalar:
-    """An exact rational, or +infinity (``value is None``)."""
+    """An exact rational, or +infinity (``value is None``).
+
+    Slotted, without a per-instance dict, because matrix workloads hold
+    many of them.
+    """
 
     value: Fraction | None = None
 
@@ -101,7 +105,8 @@ class TropScalar:
             return scalar_from_text(x)
         if isinstance(x, bool):  # an int subclass, never a valid entry
             raise MatrixFormatError(f"bad entry {x!r}: not a number")
-        return TropScalar(Fraction(x))
+        # a Fraction is immutable, so it is kept; subclasses are normalised
+        return TropScalar(x if type(x) is Fraction else Fraction(x))
 
     @property
     def is_finite(self) -> bool:

@@ -492,10 +492,13 @@ def named_config(name: str) -> FanConfig:
 
 
 def default_budget() -> int:
+    """``TROPCOMM_BUDGET`` when set and non-empty, else DEFAULT_BUDGET.
+
+    A value that is not an integer raises ValueError naming the variable."""
     env = os.environ.get("TROPCOMM_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TROPCOMM_BUDGET must be an integer, not {env!r}") from None

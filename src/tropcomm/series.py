@@ -76,12 +76,7 @@ class SeriesPoly:
         return self + (-other)
 
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
-        out: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SeriesPoly(tuple(sorted((e, c) for e, c in out.items() if c != 0)))
+        return _sum_of_products(((self, other),))
 
     def shift(self, exponent) -> "SeriesPoly":
         """Multiply by t^exponent."""
@@ -223,7 +218,7 @@ class SeriesMatrix:
         return SeriesMatrix(
             tuple(
                 tuple(
-                    _series_sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
+                    _sum_of_products((self.rows[i][k], other.rows[k][j]) for k in range(n))
                     for j in range(n)
                 )
                 for i in range(n)
@@ -248,11 +243,15 @@ class SeriesMatrix:
         return [[format_series(e) for e in row] for row in self.rows]
 
 
-def _series_sum(items: Iterable[SeriesPoly]) -> SeriesPoly:
-    out = SeriesPoly.zero()
-    for s in items:
-        out = out + s
-    return out
+def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
+    """sum of f*g over the pairs, collected in one dict of coefficients."""
+    out: dict[Fraction, Fraction] = {}
+    for f, g in pairs:
+        for e1, c1 in f.terms:
+            for e2, c2 in g.terms:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+    return SeriesPoly(tuple(sorted((e, c) for e, c in out.items() if c != 0)))
 
 
 def val_matrix(x: SeriesMatrix) -> TropMatrix:
@@ -292,8 +291,12 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     v is pinned by the off-diagonal valuations (the exchange relation makes
     the two requirements agree), and the diagonal of X carries at most one
     extra term so cancellation against alpha produces the demanded
-    valuations.  Every returned pair is verified; None means the bounded
-    ansatz found nothing (never a non-existence proof).
+    valuations.  Every returned pair is verified.
+
+    The precondition is :func:`tropcomm.commuting.in_tc2`, i.e. membership
+    in the prevariety Tpre2.  The ansatz covers all of Tpre2 (the forced
+    valuations of alpha agree exactly when the minimum of {b11, b22, v+a11,
+    v+a22} is attained twice), so None on a Tpre2 point is a bug.
     """
     from .commuting import in_tc2
 

@@ -275,3 +275,42 @@ def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction
     t = x[2 * d]
     z = [x[j] - x[d + j] for j in range(d)]
     return t, z
+
+
+def fraction_classify_pair(a: TropMatrix, b: TropMatrix):
+    """Independent oracle for ``classify_pair(a, b, deep=False)`` on 3x3
+    pairs: min-plus products on plain Fractions, and the witness-family loop
+    on Fraction term values, as the library ran it before it tested ties on
+    integers.  Returns (ts, ts_witness, tpre failures, certificate), the
+    certificate as (source, monomial, min value, runner-up value) or None.
+    """
+    from tropcomm.commuting import labeled_generators, witness_family
+
+    n = a.n
+    av = [[e.value for e in row] for row in a.rows]
+    bv = [[e.value for e in row] for row in b.rows]
+    w = [x for m in (av, bv) for row in m for x in row]
+
+    def minplus(x, y):
+        return [[min(x[i][s] + y[s][j] for s in range(n)) for j in range(n)] for i in range(n)]
+
+    ab, ba = minplus(av, bv), minplus(bv, av)
+    witness = next(((i + 1, j + 1) for i in range(n) for j in range(n) if ab[i][j] != ba[i][j]), None)
+
+    def values(f):
+        return [(m, sum((k * x for k, x in zip(m, w) if k), Fraction(0))) for m, _ in f.terms]
+
+    fails = []
+    for label, g in labeled_generators(n):
+        vals = [v for _, v in values(g)]
+        if vals.count(min(vals)) < 2:
+            fails.append(label)
+    cert = None
+    for label, f in witness_family():
+        vals = values(f)
+        mn = min(v for _, v in vals)
+        argmin = [m for m, v in vals if v == mn]
+        if len(argmin) == 1:
+            cert = (label, argmin[0], mn, min(v for _, v in vals if v > mn))
+            break
+    return witness is None, witness, tuple(fails), cert

@@ -103,6 +103,16 @@ def test_fan_budget_guard(capsys):
     assert "1658" in err  # the reference constants are surfaced
 
 
+def test_fan_rejects_unparseable_budget_variable(monkeypatch, capsys):
+    monkeypatch.setenv("TROPCOMM_BUDGET", "1e7")
+    code, out, err = run(capsys, "fan", "commuting:n=2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "TROPCOMM_BUDGET" in err and "1e7" in err
+    monkeypatch.setenv("TROPCOMM_BUDGET", "10")
+    code, _, err = run(capsys, "fan", "commuting:n=3")
+    assert code == 4 and "budget of 10" in err
+
+
 def test_fan_generator_file(tmp_path, capsys):
     spec = {
         "dimension": 3,
@@ -187,6 +197,25 @@ def test_lift_and_verify_round_trip(pair_file, tmp_path, capsys):
     code, out, _ = run(capsys, "lift-verify", str(lift_file))
     assert code == 0
     assert out.strip() == "VERIFIED"
+
+
+def test_check_and_lift_outside_the_commuting_set(tmp_path, capsys):
+    # in Tpre2 but not in TS: the exact lift
+    # X = [[t^(-16/7), t^(-37/7)], [t^(2/7), t^(-16/7) - t^(-58/7)]],
+    # Y = [[t^(-38/7) + t^(4/7), t^(-17/7)], [t^(22/7), t^(4/7)]] proves TC2
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": 2, "A": [["-16/7", "-37/7"], ["2/7", "-58/7"]],
+                                "B": [["-38/7", "-17/7"], ["22/7", "4/7"]]}))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    assert "TS: no (1,2), Tpre: yes, TC2: in" in out
+    code, out, _ = run(capsys, "lift", str(path))
+    assert code == 0
+    assert json.loads(out)["status"] == "found"
+    lift_file = tmp_path / "lift.json"
+    lift_file.write_text(out)
+    code, out, _ = run(capsys, "lift-verify", str(lift_file))
+    assert code == 0 and out.strip() == "VERIFIED"
 
 
 def test_lift_precondition(pair_file, capsys):

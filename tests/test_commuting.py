@@ -1,6 +1,7 @@
 """Generators, tropical satisfaction, membership tests, witnesses, certificates."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from tropcomm import (
     witness_deg3,
     witness_deg4,
 )
+from tropcomm import commuting
 from tropcomm.commuting import group_elements, labeled_generators, witness_family
 from tropcomm.polynomials import (
     SparsePoly,
@@ -32,7 +34,7 @@ from tropcomm.polynomials import (
 
 from helpers import (
     M, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F, S31_A, S31_B, TC2_A, TC2_B,
-    initial_slice_ranks, random_finite_matrix, random_prevariety_2x2_pair,
+    fraction_classify_pair, initial_slice_ranks, random_finite_matrix, random_prevariety_2x2_pair,
 )
 
 X2 = matrix_variables(2)
@@ -296,6 +298,108 @@ def test_classify_pair_regions():
     c2 = classify_pair(TC2_A, TC2_B)
     assert c2.tc_status == "in"
     assert classify_pair(S31_A, S31_B).tc_status == "out"
+
+
+# pairs in Tpre whose witness family ties (golden (a), the deep-only pair)
+# or first breaks at a degree-4 member, and (c), which is in Tpre only
+_TIED_BASES = (
+    ([[0, 2, 0], [2, 0, 8], [0, 4, 0]], [[12, 0, 1], [0, 2, 0], [1, 0, 6]]),
+    ([[2, 2, 3], [1, 2, 0], [4, 3, 2]], [[0, 3, 0], [2, 0, 4], [3, 4, 0]]),
+    ([[0, 1, 0], [1, 0, 1], [1, 1, 0]], [[1, 0, 0], [0, 0, 0], [1, 1, 1]]),
+    ([[0, 1, 0], [3, 0, 1], [0, 3, 0]], [[1, 0, 3], [0, 1, 0], [1, 0, 3]]),
+)
+
+
+def _mixed_denominator_pair(rng: random.Random, kind: int):
+    # kind 0: entries with mixed denominators straight away; else an
+    # integer pair (kind 1: random 0..1 entries, often tied; kind 2: one of
+    # _TIED_BASES) scaled by k > 0 and moved by a homogeneity shift
+    # (conjugation by diag(c), constants added to A and B), which keeps
+    # every tie, product difference and argmin
+    dens = (1, 2, 3, 4, 5, 6, 7, 8, 12)
+
+    def q(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.choice(dens))
+
+    if kind == 0:
+        return ([[q(-12, 12) for _ in range(3)] for _ in range(3)],
+                [[q(-12, 12) for _ in range(3)] for _ in range(3)])
+    if kind == 1:
+        base = [[[rng.randint(0, 1) for _ in range(3)] for _ in range(3)] for _ in range(2)]
+    else:
+        base = rng.choice(_TIED_BASES)
+    k = q(1, 9)
+    c = [q(-20, 20) for _ in range(3)]
+    shifts = (q(-20, 20), q(-20, 20))
+    return tuple([[k * m[i][j] + c[i] - c[j] + shift for j in range(3)] for i in range(3)]
+                 for m, shift in zip(base, shifts))
+
+
+def test_integer_ties_match_fraction_oracle():
+    # classify_pair tests ties on integer term values, with the weight
+    # scaled by the lcm of its denominators; the oracle does it in Fractions
+    rng = random.Random(43)
+    kinds = Counter()
+    for trial in range(300):
+        ga, gb = _mixed_denominator_pair(rng, trial % 3)
+        a, b = M(ga), M(gb)
+        assert len({e.value.denominator for m in (a, b) for row in m.rows for e in row}) > 1
+        cls = classify_pair(a, b, deep=False)
+        ts, witness, failures, cert = fraction_classify_pair(a, b)
+        assert (cls.ts, cls.ts_witness, cls.tpre.failures) == (ts, witness, failures)
+        got = cls.certificate
+        if got is not None:
+            got = (got.source, got.unique_min_monomial, got.min_value, got.runner_up_value)
+        assert got == cert
+        assert cls.tc_status == ("unknown" if cert is None else "certified-out")
+        kinds["unknown" if cert is None else cert[0].split("[")[0][:3]] += 1
+        kinds["tpre"] += cls.tpre.ok
+        kinds["ts"] += cls.ts
+    # generator, degree-4 and "unknown" outcomes all occur
+    assert kinds["g11"] and kinds["deg"] and kinds["unknown"] >= 30, kinds
+    assert kinds["tpre"] >= 50 and kinds["ts"] >= 30, kinds
+
+
+_CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family")
+
+
+def test_constant_data_is_built_once(monkeypatch):
+    calls = Counter()
+    for name in ("witness_deg3", "witness_deg4", "commutator_entry"):
+        def counted(*args, _real=getattr(commuting, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(commuting, name, counted)
+    for name in _CACHED:
+        getattr(commuting, name).cache_clear()
+    try:
+        rng = random.Random(47)
+        pairs = [(P7A_A, P7A_B)] + [
+            (M([[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]),
+             M([[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]))
+            for _ in range(49)
+        ]
+        classify_pair(*pairs[0], deep=False)
+        first = dict(calls)
+        assert first["witness_deg3"] == first["witness_deg4"] == len(group_elements(3))
+        assert first["commutator_entry"] > 0
+        for a, b in pairs[1:]:
+            classify_pair(a, b, deep=False)
+        assert dict(calls) == first
+        assert commuting.witness_family.cache_info().misses == 1
+        assert commuting.labeled_generators.cache_info().misses == 1
+    finally:
+        for name in _CACHED:
+            getattr(commuting, name).cache_clear()
+
+
+def test_cached_constants_are_tuples():
+    for value in (labeled_generators(2), labeled_generators(3), generators(3),
+                  symmetric_generators(), witness_family()):
+        assert isinstance(value, tuple)
+    assert all(isinstance(item, tuple) for item in labeled_generators(3) + witness_family())
+    assert witness_family() is witness_family()
+    assert generators(3) == tuple(g for _, g in labeled_generators(3))
 
 
 def _apply_to_pair(ge, a, b):

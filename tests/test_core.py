@@ -1,5 +1,7 @@
 """Min-plus scalar/matrix arithmetic, Kleene stars, normalization, formats."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -182,3 +184,33 @@ def test_matrix_json_errors():
         matrix_from_json({"n": 2, "entries": [["0", "x"], ["1", "0"]]})
     with pytest.raises(MatrixFormatError):
         pair_from_json({"n": 2, "A": [["0", "1"], ["1", "0"]]})
+
+
+def test_slotted_scalars_pickle_and_copy():
+    half = TropScalar.of("1/2")
+    assert not hasattr(half, "__dict__")
+    m = TropMatrix.of([["1/2", "inf"], [-3, "0"]])
+    for value in (half, INF, m):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert clone == value
+    again = pickle.loads(pickle.dumps(m))
+    assert not again[0, 1].is_finite and again[0, 0].value == Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        half.value = Fraction(1)  # frozen
+
+
+class _Half(Fraction):
+    pass
+
+
+def test_scalar_of_accepted_types():
+    q = Fraction(7, 3)
+    assert TropScalar.of(q).value is q  # kept: Fraction is immutable
+    assert TropScalar.of(4).value == 4
+    assert TropScalar.of("4.10").value == Fraction(41, 10)
+    sub = TropScalar.of(_Half(1, 2))
+    assert sub.value == Fraction(1, 2) and type(sub.value) is Fraction
+    assert TropScalar.of(None) == INF
+    for bad in (True, False):
+        with pytest.raises(MatrixFormatError):
+            TropScalar.of(bad)

@@ -7,6 +7,9 @@ import pytest
 
 from tropcomm import (
     INF,
+    enumerate_cells,
+    generators,
+    lineality_space,
     LiftPreconditionError,
     SeriesMatrix,
     SeriesPoly,
@@ -143,13 +146,43 @@ def test_lift_on_random_variety_points():
 
 def test_lift_exists_beyond_generic_membership_test():
     # a pair where the products disagree because the lift's commutation
-    # cancels leading terms: the prevariety test accepts it, the generic
-    # commuting-set test rejects it, yet a verified lift exists
+    # cancels leading terms: the prevariety test accepts it, the
+    # commuting-set test rejects it, and the verified lift below proves it
+    # lies in TC2, as in_tc2 says
     a = TropMatrix.of([[2, 1], [1, 0]])
     b = TropMatrix.of([[0, 1], [1, 3]])
     assert in_tpre(a, b).ok
     assert not in_ts(a, b)
-    assert not in_tc2(a, b)
+    assert in_tc2(a, b)
     x = SeriesMatrix.parse([["t^2", "t"], ["t", "t^3 - 1"]])
     y = SeriesMatrix.parse([["1 + t^2", "t"], ["t", "t^3"]])
     assert verify_lift(x, y, a, b).ok
+
+
+def test_every_commuting_n2_cell_lifts():
+    """Interior points of all 11 cells of the commuting:n=2 fan are in TC2:
+    in_tc2 accepts them and lift_2x2 returns a lift that verify_lift
+    accepts.  Points are a cell's witness times a positive scale plus a
+    lineality vector; the cells ((0,1),(0,2),(0,2)) and ((0,1),(1,3),(1,3))
+    are the ones a test by A@B == B@A on the hyperplane rejects whole."""
+    gens = list(generators(2))
+    cells = enumerate_cells(gens, 8)
+    basis, _ = lineality_space(gens, 8)
+    assert len(cells) == 11
+    rng = random.Random(53)
+    not_ts = 0
+    for cell in cells:
+        for _ in range(12):
+            scale = Fraction(rng.randint(1, 40), rng.randint(1, 8))
+            w = [scale * x for x in cell.witness]
+            for v in basis:
+                c = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+                w = [x + c * y for x, y in zip(w, v)]
+            a = TropMatrix.of([w[0:2], w[2:4]])
+            b = TropMatrix.of([w[4:6], w[6:8]])
+            assert in_tpre(a, b).ok and in_tc2(a, b), cell.pattern
+            found = lift_2x2(a, b)
+            assert found is not None, cell.pattern
+            assert verify_lift(found[0], found[1], a, b).ok, cell.pattern
+            not_ts += not in_ts(a, b)
+    assert not_ts >= 24  # the two cells above lie outside TS
