@@ -158,6 +158,8 @@ def cmd_fan(args: argparse.Namespace) -> int:
             budget = fan_mod.default_budget()
         except ValueError as exc:
             return _fail(EXIT_PARSE, str(exc))
+    elif budget < 1:
+        return _fail(EXIT_PARSE, f"--budget must be >= 1, not {budget}")
     _, lin = fan_mod.lineality_space(gens, dim)
     try:
         cells = fan_mod.enumerate_cells(gens, dim, budget=budget, jobs=args.jobs)

@@ -15,10 +15,10 @@ from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, permutations
-from math import gcd, inf, lcm
+from math import gcd, inf
 from typing import Optional, Sequence
 
-from .core import SizeMismatchError, TropMatrix
+from .core import SizeMismatchError, TropMatrix, _lcm_scale
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
 from .polytrope import commutes, first_difference
 
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 WeightVector = tuple[Fraction, ...]
+# per term of a polynomial, its nonzero exponents as (variable index, exponent)
+Support = tuple[tuple[tuple[int, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,15 @@ def generators(n: int) -> tuple[SparsePoly, ...]:
     return tuple(g for _, g in labeled_generators(n))
 
 
+def _support(f: SparsePoly) -> Support:
+    return tuple(tuple((i, k) for i, k in enumerate(m) if k) for m, _ in f.terms)
+
+
+@cache
+def _generator_supports(n: int) -> tuple[tuple[tuple[int, int], Support], ...]:
+    return tuple((label, _support(g)) for label, g in labeled_generators(n))
+
+
 @cache
 def symmetric_generators() -> tuple[SparsePoly, ...]:
     """The three 6-term generators of the symmetric 3x3 commuting ideal.
@@ -130,12 +141,6 @@ def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
                     raise ValueError("weight vectors require finite entries")
                 vals.append(e.value)  # type: ignore[arg-type]
     return tuple(vals)
-
-
-def _int_weight(w: WeightVector) -> tuple[int, ...]:
-    """w scaled by the lcm of its denominators: the same argmins, in ints."""
-    den = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (den // x.denominator) for x in w)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +190,10 @@ def trop_satisfied(f: SparsePoly, w: WeightVector) -> tuple[bool, TropEvaluation
     return ev.satisfied, ev
 
 
-def _min_attained_twice(f: SparsePoly, iw: Sequence[int]) -> bool:
-    """trop_satisfied at an integer weight from :func:`_int_weight`, without
-    building the evaluation."""
-    vals = [sum(k * x for k, x in zip(m, iw)) for m, _ in f.terms]
+def _min_attained_twice(support: Support, iw: Sequence[int]) -> bool:
+    """trop_satisfied at the weight w scaled to ints (same argmins, see
+    :func:`tropcomm.core._lcm_scale`), without building the evaluation."""
+    vals = [sum(iw[i] * k for i, k in t) for t in support]
     return vals.count(min(vals)) >= 2
 
 
@@ -209,8 +214,8 @@ class TpreResult:
 
 def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
     """Prevariety membership: every commutator generator tropically satisfied."""
-    iw = _int_weight(weight_of_pair(a, b))
-    fails = tuple(label for label, g in labeled_generators(a.n) if not _min_attained_twice(g, iw))
+    iw, _ = _lcm_scale(weight_of_pair(a, b))
+    fails = tuple(label for label, sup in _generator_supports(a.n) if not _min_attained_twice(sup, iw))
     return TpreResult(ok=not fails, failures=fails)
 
 
@@ -385,6 +390,11 @@ def witness_family() -> tuple[tuple[str, SparsePoly], ...]:
     return tuple(family)
 
 
+@cache
+def _family_supports() -> tuple[tuple[str, SparsePoly, Support], ...]:
+    return tuple((label, f, _support(f)) for label, f in witness_family())
+
+
 def _gname(g: GroupElement) -> str:
     sigma, swap = g
     return "".join(map(str, sigma)) + ("s" if swap else "")
@@ -441,7 +451,7 @@ def find_monomial_initial_form(
     variety.
     """
     w = weight_of_pair(a, b)
-    iw = _int_weight(w)
+    iw, _ = _lcm_scale(w)
     base = degree + 1  # no exponent of a degree-d monomial exceeds d
     level = base ** len(w)  # the columns of value v are [v*level, (v+1)*level)
 
@@ -545,9 +555,9 @@ def certify_not_in_tc3(
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")
     w = weight_of_pair(a, b)
-    iw = _int_weight(w)
-    for label, f in witness_family():
-        if _min_attained_twice(f, iw):
+    iw, _ = _lcm_scale(w)
+    for label, f, support in _family_supports():
+        if _min_attained_twice(support, iw):
             continue
         ev = evaluate_tropically(f, w)
         if len(ev.argmin) == 1 and ev.runner_up is not None:

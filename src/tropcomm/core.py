@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "TropScalar",
@@ -140,14 +141,6 @@ INF = TropScalar(None)
 ZERO = TropScalar(Fraction(0))
 
 
-def _tmin(values: Iterable[TropScalar]) -> TropScalar:
-    out = INF
-    for v in values:
-        if v < out:
-            out = v
-    return out
-
-
 @dataclass(frozen=True)
 class TropVector:
     """A point of R^n over the min-plus semiring (entries may be +inf)."""
@@ -233,6 +226,80 @@ def _check_sizes(a: TropMatrix, b: TropMatrix) -> None:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
 
 
+# ---------------------------------------------------------------------------
+# integer kernels
+#
+# Every value inside one call is an exact rational, so the values times the
+# lcm D of their denominators are ints with the same sums, minima and ties
+# (scaled by D).  The kernels below run on such ints, None standing for
+# +inf; results go back through Fraction(v, D), which is in lowest terms.
+# ---------------------------------------------------------------------------
+
+IntGrid = list[list[Optional[int]]]
+
+
+def _lcm_scale(values: Sequence[Optional[Fraction]]) -> tuple[list[Optional[int]], int]:
+    """The values times the lcm D of their denominators, as ints (None
+    stays None), and D."""
+    d = lcm(*{v.denominator for v in values if v is not None})
+    return [None if v is None else v.numerator * (d // v.denominator) for v in values], d
+
+
+def _int_grids(*grids: Sequence[Sequence[TropScalar]]) -> tuple[list[IntGrid], int]:
+    """Scalar grids (a matrix's ``rows``, or one row) scaled by one common D."""
+    flat, d = _lcm_scale([e.value for g in grids for row in g for e in row])
+    it = iter(flat)
+    return [[[next(it) for _ in row] for row in g] for g in grids], d
+
+
+def _int_scalar(v: Optional[int], d: int) -> TropScalar:
+    return INF if v is None else TropScalar(Fraction(v, d))
+
+
+def _from_int_grid(grid: IntGrid, d: int) -> TropMatrix:
+    return TropMatrix(tuple(tuple(_int_scalar(v, d) for v in row) for row in grid))
+
+
+def _int_mul(x: IntGrid, y: IntGrid) -> IntGrid:
+    """Min-plus product of int grids; x's rows are as long as y's columns."""
+    cols = list(zip(*y))
+    return [
+        [
+            min((p + q for p, q in zip(row, col) if p is not None and q is not None), default=None)
+            for col in cols
+        ]
+        for row in x
+    ]
+
+
+def _int_min(x: IntGrid, y: IntGrid) -> IntGrid:
+    """Entrywise min of int grids of one shape."""
+    return [
+        [q if p is None or (q is not None and q < p) else p for p, q in zip(r, s)]
+        for r, s in zip(x, y)
+    ]
+
+
+def _int_star(x: IntGrid) -> IntGrid:
+    """Kleene star of a square int grid; see :func:`kleene_star`."""
+    d = [list(row) for row in x]
+    for k, row_k in enumerate(d):
+        for row_i in d:
+            dik = row_i[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(row_k):
+                if dkj is not None:
+                    alt = dik + dkj
+                    if row_i[j] is None or alt < row_i[j]:
+                        row_i[j] = alt
+    for i, row in enumerate(d):
+        if row[i] is not None and row[i] < 0:
+            raise NegativeCycleError("negative-weight cycle; star diverges")
+        row[i] = 0
+    return d
+
+
 def trop_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Entrywise min."""
     _check_sizes(a, b)
@@ -247,16 +314,8 @@ def trop_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 def trop_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Min-plus product: out[i][j] = min_s a[i][s] + b[s][j]."""
     _check_sizes(a, b)
-    n = a.n
-    return TropMatrix(
-        tuple(
-            tuple(
-                _tmin(a.rows[i][s] + b.rows[s][j] for s in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    (x, y), d = _int_grids(a.rows, b.rows)
+    return _from_int_grid(_int_mul(x, y), d)
 
 
 def trop_pow(a: TropMatrix, m: int) -> TropMatrix:
@@ -273,9 +332,8 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Min-plus matrix-vector action: out[i] = min_s a[i][s] + x[s]."""
     if a.n != x.n:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {x.n}")
-    return TropVector(
-        tuple(_tmin(a.rows[i][s] + x[s] for s in range(a.n)) for i in range(a.n))
-    )
+    (m, (v,)), d = _int_grids(a.rows, (x.entries,))
+    return TropVector(tuple(_int_scalar(r[0], d) for r in _int_mul(m, [[e] for e in v])))
 
 
 def kleene_star(a: TropMatrix) -> TropMatrix:
@@ -286,23 +344,8 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
     in-place n^3 relaxation; the result R satisfies R = R@R and has zero
     diagonal.
     """
-    n = a.n
-    d: list[list[TropScalar]] = [list(row) for row in a.rows]
-    for k in range(n):
-        for i in range(n):
-            dik = d[i][k]
-            if not dik.is_finite:
-                continue
-            row_k = d[k]
-            row_i = d[i]
-            for j in range(n):
-                alt = dik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
-    for i in range(n):
-        if d[i][i] < ZERO:
-            raise NegativeCycleError("negative-weight cycle; star diverges")
-    return trop_add(TropMatrix.identity(n), TropMatrix(tuple(tuple(r) for r in d)))
+    (x,), d = _int_grids(a.rows)
+    return _from_int_grid(_int_star(x), d)
 
 
 def normalize_tp(v: TropVector) -> TropVector:

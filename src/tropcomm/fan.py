@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from multiprocessing import Pool
 from typing import Iterable, Optional, Sequence
 
 from .commuting import (
@@ -27,6 +25,7 @@ from .commuting import (
     group_elements,
     symmetric_generators,
 )
+from .core import _lcm_scale
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial_str, symmetric_variables
 from .simplex import Row, add_pivot, eliminate, lift_witness, primitive, strict_feasibility
 
@@ -267,8 +266,7 @@ class _Node:
 def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[Fraction]) -> None:
     """Exact argmin check of every generator at w, in integers: w scaled by
     the lcm of its denominators has the same argmins."""
-    scale = lcm(*(x.denominator for x in w))
-    wi = [x.numerator * (scale // x.denominator) for x in w]
+    wi, _ = _lcm_scale(w)
     for terms, sub in zip(gens_terms, pattern):
         vals = [sum(k * wi[i] for i, k in enumerate(m) if k) for m in terms]
         mn = min(vals)
@@ -329,8 +327,10 @@ def enumerate_cells(
     tables = _gen_tables(gens, dim)
     nfirst = len(tables[0][1])
     if jobs > 1 and total > 4 * nfirst:
+        import multiprocessing  # imported only when a pool starts: it costs memory
+
         tasks = [(tables, dim, i) for i in range(nfirst)]
-        with Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
+        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
             chunks = pool.map(_enumerate_branch, tasks)
         raw = [cell for chunk in chunks for cell in chunk]
     else:
@@ -494,11 +494,15 @@ def named_config(name: str) -> FanConfig:
 def default_budget() -> int:
     """``TROPCOMM_BUDGET`` when set and non-empty, else DEFAULT_BUDGET.
 
-    A value that is not an integer raises ValueError naming the variable."""
+    A value that is not an integer >= 1 raises ValueError naming the
+    variable."""
     env = os.environ.get("TROPCOMM_BUDGET")
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        budget = int(env)
     except ValueError:
-        raise ValueError(f"TROPCOMM_BUDGET must be an integer, not {env!r}") from None
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"TROPCOMM_BUDGET must be an integer >= 1, not {env!r}")
+    return budget

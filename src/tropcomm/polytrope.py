@@ -18,15 +18,20 @@ from typing import Optional
 from .core import (
     INF,
     ZERO,
+    IntGrid,
     SizeMismatchError,
     TropMatrix,
     TropScalar,
     TropVector,
+    _int_grids,
+    _int_min,
+    _int_mul,
+    _int_scalar,
+    _int_star,
     kleene_star,
     mat_vec,
     normalize_tp,
-    trop_add,
-    trop_mul,
+    trop_mul,  # noqa: F401 -- a boundary perfbench/layers.py wraps by name
 )
 
 __all__ = [
@@ -55,31 +60,30 @@ class NotInImageError(ValueError):
     """The target vector is not fixed by the matrix, hence not in its image."""
 
 
+def _int_premetric(x: IntGrid) -> bool:
+    return all(
+        (e == 0) if i == j else (e is not None and e > 0)
+        for i, row in enumerate(x)
+        for j, e in enumerate(row)
+    )
+
+
+def _int_polytrope(x: IntGrid) -> bool:
+    return _int_premetric(x) and all(
+        rik + x[k][j] >= rij for row in x for k, rik in enumerate(row) for j, rij in enumerate(row)
+    )
+
+
 def is_premetric(a: TropMatrix) -> bool:
     """Zero diagonal, strictly positive finite off-diagonal entries."""
-    for i in range(a.n):
-        for j in range(a.n):
-            e = a.rows[i][j]
-            if i == j:
-                if e != ZERO:
-                    return False
-            elif not e.is_finite or e <= ZERO:
-                return False
-    return True
+    (x,), _ = _int_grids(a.rows)
+    return _int_premetric(x)
 
 
 def is_polytrope(a: TropMatrix) -> bool:
     """Premetric + triangle inequality a[i][j] <= a[i][k] + a[k][j]."""
-    if not is_premetric(a):
-        return False
-    n = a.n
-    for i in range(n):
-        for j in range(n):
-            aij = a.rows[i][j]
-            for k in range(n):
-                if a.rows[i][k] + a.rows[k][j] < aij:
-                    return False
-    return True
+    (x,), _ = _int_grids(a.rows)
+    return _int_polytrope(x)
 
 
 def first_difference(a: TropMatrix, b: TropMatrix) -> Optional[tuple[int, int]]:
@@ -95,7 +99,10 @@ def first_difference(a: TropMatrix, b: TropMatrix) -> Optional[tuple[int, int]]:
 
 def commutes(a: TropMatrix, b: TropMatrix) -> bool:
     """Exact test of A@B == B@A (works for arbitrary real matrices)."""
-    return trop_mul(a, b) == trop_mul(b, a)
+    if a.n != b.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    (x, y), _ = _int_grids(a.rows, b.rows)
+    return _int_mul(x, y) == _int_mul(y, x)
 
 
 @dataclass(frozen=True)
@@ -124,30 +131,34 @@ class CommutClassification:
 
 
 def _witness(
-    lhs: TropMatrix, rhs: TropMatrix
+    lhs: IntGrid, rhs: IntGrid, d: int
 ) -> Optional[tuple[tuple[int, int], TropScalar, TropScalar]]:
-    at = first_difference(lhs, rhs)
-    if at is None:
-        return None
-    i, j = at
-    return at, lhs.rows[i - 1][j - 1], rhs.rows[i - 1][j - 1]
+    for i, (r, s) in enumerate(zip(lhs, rhs)):
+        for j, (p, q) in enumerate(zip(r, s)):
+            if p != q:
+                return (i + 1, j + 1), _int_scalar(p, d), _int_scalar(q, d)
+    return None
 
 
 def classify_polytrope_pair(a: TropMatrix, b: TropMatrix) -> CommutClassification:
-    """Evaluate all four conditions exactly; record per-condition witnesses."""
-    if not (is_polytrope(a) and is_polytrope(b)):
+    """Evaluate all four conditions exactly; record per-condition witnesses.
+
+    The pair is scaled to ints once (see :mod:`tropcomm.core`); scalars are
+    built only for the witness values."""
+    (x, y), d = _int_grids(a.rows, b.rows)
+    if not (_int_polytrope(x) and _int_polytrope(y)):
         raise NotPolytropeError("both inputs must be polytropes")
-    ab = trop_mul(a, b)
-    ba = trop_mul(b, a)
-    s = trop_add(a, b)
-    star = kleene_star(s)
-    square = trop_mul(s, s)
+    if a.n != b.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    ab = _int_mul(x, y)
+    s = _int_min(x, y)
+    star = _int_star(s)
 
     checks = {
-        "commutes": _witness(ab, ba),
-        "star": _witness(s, star),
-        "square": _witness(square, star),
-        "product": _witness(ab, s),
+        "commutes": _witness(ab, _int_mul(y, x), d),
+        "star": _witness(s, star, d),
+        "square": _witness(_int_mul(s, s), star, d),
+        "product": _witness(ab, s, d),
     }
     witnesses = {k: v for k, v in checks.items() if v is not None}
     head = next((witnesses[k][0] for k in checks if k in witnesses), None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import INF, TropMatrix, TropScalar
+from .core import INF, TropMatrix, TropScalar, _lcm_scale
 
 __all__ = [
     "SeriesPoly",
@@ -215,10 +215,13 @@ class SeriesMatrix:
         n = self.n
         if other.n != n:
             raise ValueError("size mismatch")
+        # one scaling for all entries of both factors
+        polys, de, dc = _int_terms([e for m in (self, other) for row in m.rows for e in row])
+        x, y = polys[: n * n], polys[n * n :]
         return SeriesMatrix(
             tuple(
                 tuple(
-                    _sum_of_products((self.rows[i][k], other.rows[k][j]) for k in range(n))
+                    _int_sum_of_products(((x[i * n + k], y[k * n + j]) for k in range(n)), de, dc)
                     for j in range(n)
                 )
                 for i in range(n)
@@ -243,15 +246,34 @@ class SeriesMatrix:
         return [[format_series(e) for e in row] for row in self.rows]
 
 
-def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
-    """sum of f*g over the pairs, collected in one dict of coefficients."""
-    out: dict[Fraction, Fraction] = {}
+def _int_terms(polys: list[SeriesPoly]) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """Each series' terms as ints: exponents times the lcm De of all the
+    exponents' denominators, coefficients times the lcm Dc of all the
+    coefficients' denominators; and De, Dc."""
+    exps, de = _lcm_scale([e for p in polys for e, _ in p.terms])
+    coeffs, dc = _lcm_scale([c for p in polys for _, c in p.terms])
+    scaled = iter(zip(exps, coeffs))
+    return [[next(scaled) for _ in p.terms] for p in polys], de, dc
+
+
+def _int_sum_of_products(pairs: Iterable[tuple[list, list]], de: int, dc: int) -> SeriesPoly:
+    """sum of f*g over pairs of :func:`_int_terms` lists, collected in one
+    dict; the products' exponents are multiples of 1/De and their
+    coefficients of 1/Dc^2, so Fractions are built only for the final terms."""
+    out: dict[int, int] = {}
     for f, g in pairs:
-        for e1, c1 in f.terms:
-            for e2, c2 in g.terms:
+        for e1, c1 in f:
+            for e2, c2 in g:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-    return SeriesPoly(tuple(sorted((e, c) for e, c in out.items() if c != 0)))
+    dc *= dc
+    return SeriesPoly(tuple((Fraction(e, de), Fraction(c, dc)) for e, c in sorted(out.items()) if c))
+
+
+def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
+    """sum of f*g over the pairs."""
+    polys, de, dc = _int_terms([p for pair in pairs for p in pair])
+    return _int_sum_of_products(zip(polys[::2], polys[1::2]), de, dc)
 
 
 def val_matrix(x: SeriesMatrix) -> TropMatrix:

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add, trop_mul
-from tropcomm.core import TropScalar, ZERO
+from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add
+from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
 from tropcomm.polynomials import Monomial
+from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
+from tropcomm.series import SeriesPoly
 
 
 def M(rows) -> TropMatrix:
@@ -80,8 +82,108 @@ def star_power_sum(a: TropMatrix) -> TropMatrix:
     power = a
     for _ in range(a.n):
         out = trop_add(out, power)
-        power = trop_mul(power, a)
+        power = scalar_trop_mul(power, a)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the integer kernels: the min-plus loops on TropScalar values
+# and the series product on Fraction pairs, as the library ran them before
+# it scaled to ints.
+# ---------------------------------------------------------------------------
+
+def _tmin(values) -> TropScalar:
+    out = INF
+    for v in values:
+        if v < out:
+            out = v
+    return out
+
+
+def scalar_trop_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    if a.n != b.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    n = a.n
+    return TropMatrix(tuple(
+        tuple(_tmin(a.rows[i][s] + b.rows[s][j] for s in range(n)) for j in range(n))
+        for i in range(n)
+    ))
+
+
+def scalar_mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
+    if a.n != x.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {x.n}")
+    return TropVector(tuple(_tmin(a.rows[i][s] + x[s] for s in range(a.n)) for i in range(a.n)))
+
+
+def scalar_kleene_star(a: TropMatrix) -> TropMatrix:
+    n = a.n
+    d = [list(row) for row in a.rows]
+    for k in range(n):
+        for i in range(n):
+            dik = d[i][k]
+            if not dik.is_finite:
+                continue
+            for j in range(n):
+                alt = dik + d[k][j]
+                if alt < d[i][j]:
+                    d[i][j] = alt
+    for i in range(n):
+        if d[i][i] < ZERO:
+            raise NegativeCycleError("negative-weight cycle; star diverges")
+    return trop_add(TropMatrix.identity(n), TropMatrix(tuple(tuple(r) for r in d)))
+
+
+def scalar_is_polytrope(a: TropMatrix) -> bool:
+    for i in range(a.n):
+        for j in range(a.n):
+            e = a.rows[i][j]
+            if (e != ZERO) if i == j else (not e.is_finite or e <= ZERO):
+                return False
+    return all(
+        not a.rows[i][k] + a.rows[k][j] < a.rows[i][j]
+        for i in range(a.n) for j in range(a.n) for k in range(a.n)
+    )
+
+
+def scalar_classify_polytrope_pair(a: TropMatrix, b: TropMatrix) -> CommutClassification:
+    if not (scalar_is_polytrope(a) and scalar_is_polytrope(b)):
+        raise NotPolytropeError("both inputs must be polytropes")
+    ab = scalar_trop_mul(a, b)
+    ba = scalar_trop_mul(b, a)
+    s = trop_add(a, b)
+    star = scalar_kleene_star(s)
+    square = scalar_trop_mul(s, s)
+
+    def witness(lhs, rhs):
+        at = first_difference(lhs, rhs)
+        return None if at is None else (at, lhs[at[0] - 1, at[1] - 1], rhs[at[0] - 1, at[1] - 1])
+
+    checks = {
+        "commutes": witness(ab, ba),
+        "star": witness(s, star),
+        "square": witness(square, star),
+        "product": witness(ab, s),
+    }
+    witnesses = {k: v for k, v in checks.items() if v is not None}
+    return CommutClassification(
+        commutes=checks["commutes"] is None,
+        star_condition=checks["star"] is None,
+        square_condition=checks["square"] is None,
+        product_condition=checks["product"] is None,
+        witness_entry=next((witnesses[k][0] for k in checks if k in witnesses), None),
+        witnesses=witnesses,
+    )
+
+
+def fraction_sum_of_products(pairs) -> SeriesPoly:
+    out: dict[Fraction, Fraction] = {}
+    for f, g in pairs:
+        for e1, c1 in f.terms:
+            for e2, c2 in g.terms:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+    return SeriesPoly(tuple(sorted((e, c) for e, c in out.items() if c != 0)))
 
 
 def initial_slice_ranks(

@@ -113,6 +113,23 @@ def test_fan_rejects_unparseable_budget_variable(monkeypatch, capsys):
     assert code == 4 and "budget of 10" in err
 
 
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_fan_rejects_budget_variable_below_one(monkeypatch, capsys, value):
+    monkeypatch.setenv("TROPCOMM_BUDGET", value)
+    code, out, err = run(capsys, "fan", "commuting:n=2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "TROPCOMM_BUDGET" in err and value in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_fan_rejects_budget_option_below_one(capsys, value):
+    code, out, err = run(capsys, "fan", "commuting:n=2", "--budget", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--budget" in err and value in err
+    code, _, _ = run(capsys, "fan", "commuting:n=2", "--budget", "1000")
+    assert code == 0
+
+
 def test_fan_generator_file(tmp_path, capsys):
     spec = {
         "dimension": 3,

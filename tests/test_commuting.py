@@ -360,7 +360,8 @@ def test_integer_ties_match_fraction_oracle():
     assert kinds["tpre"] >= 50 and kinds["ts"] >= 30, kinds
 
 
-_CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family")
+_CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family",
+           "_generator_supports", "_family_supports")
 
 
 def test_constant_data_is_built_once(monkeypatch):
@@ -388,6 +389,7 @@ def test_constant_data_is_built_once(monkeypatch):
         assert dict(calls) == first
         assert commuting.witness_family.cache_info().misses == 1
         assert commuting.labeled_generators.cache_info().misses == 1
+        assert commuting._family_supports.cache_info().misses == 1
     finally:
         for name in _CACHED:
             getattr(commuting, name).cache_clear()

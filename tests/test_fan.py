@@ -1,5 +1,6 @@
 """Prevariety complex enumeration: cells, f-vectors, lineality, feasibility."""
 
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -276,7 +277,7 @@ def test_pool_size_is_bounded(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(fan, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     serial = enumerate_cells([g23, g13], 12)
     branches = len(argmin_subsets(len(g23)))
     for cpus, expected in ((3, 3), (None, 1), (10 ** 6, branches)):
