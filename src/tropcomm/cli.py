@@ -23,6 +23,7 @@ from .commuting import (
 from .core import (
     MatrixFormatError,
     NegativeCycleError,
+    SizeMismatchError,
     TropMatrix,
     TropScalar,
     format_rational,
@@ -338,7 +339,10 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
         a, b = pair_from_json({"n": obj["n"], "A": obj["A"], "B": obj["B"]})
     except (ValueError, MatrixFormatError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    check = verify_lift(x, y, a, b)
+    try:
+        check = verify_lift(x, y, a, b)
+    except SizeMismatchError as exc:
+        return _fail(EXIT_PARSE, str(exc))
     if check.ok:
         print("VERIFIED")
         return EXIT_OK

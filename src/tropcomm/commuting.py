@@ -18,9 +18,9 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd, inf
 from typing import Optional, Sequence
 
-from .core import SizeMismatchError, TropMatrix, _lcm_scale
+from .core import SizeMismatchError, TropMatrix, _int_grids, _int_mul, _lcm_scale
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
-from .polytrope import commutes, first_difference
+from .polytrope import _first_difference, commutes
 
 __all__ = [
     "WeightVector",
@@ -215,7 +215,12 @@ class TpreResult:
 def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
     """Prevariety membership: every commutator generator tropically satisfied."""
     iw, _ = _lcm_scale(weight_of_pair(a, b))
-    fails = tuple(label for label, sup in _generator_supports(a.n) if not _min_attained_twice(sup, iw))
+    return _in_tpre(a.n, iw)
+
+
+def _in_tpre(n: int, iw: Sequence[int]) -> TpreResult:
+    """:func:`in_tpre` at the weight scaled to ints."""
+    fails = tuple(label for label, sup in _generator_supports(n) if not _min_attained_twice(sup, iw))
     return TpreResult(ok=not fails, failures=fails)
 
 
@@ -554,12 +559,19 @@ def certify_not_in_tc3(
     """
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")
-    w = weight_of_pair(a, b)
-    iw, _ = _lcm_scale(w)
+    iw, _ = _lcm_scale(weight_of_pair(a, b))
+    return _certify(a, b, iw, deep)
+
+
+def _certify(
+    a: TropMatrix, b: TropMatrix, iw: Sequence[int], deep: bool
+) -> Optional[NonMembershipCertificate]:
+    """:func:`certify_not_in_tc3` with the weight of the 3x3 pair (A, B)
+    already scaled to ints."""
     for label, f, support in _family_supports():
         if _min_attained_twice(support, iw):
             continue
-        ev = evaluate_tropically(f, w)
+        ev = evaluate_tropically(f, weight_of_pair(a, b))
         if len(ev.argmin) == 1 and ev.runner_up is not None:
             return NonMembershipCertificate(
                 source=label,
@@ -594,18 +606,20 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
         raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")
-    from .core import trop_mul
-
-    ab, ba = trop_mul(a, b), trop_mul(b, a)
-    ts = ab == ba
-    ts_wit = None if ts else first_difference(ab, ba)
-    tpre = in_tpre(a, b)
+    # one scaling serves the min-plus products and the weight of the ties
+    (x, y), _ = _int_grids(a.rows, b.rows)
+    ab, ba = _int_mul(x, y), _int_mul(y, x)
+    ts_wit = _first_difference(ab, ba)
+    iw = [v for g in (x, y) for row in g for v in row]
+    if None in iw:
+        raise ValueError("weight vectors require finite entries")
+    tpre = _in_tpre(a.n, iw)
     cert = None
     if a.n == 2:
         status = "in" if tpre.ok else "out"  # TC2 = Tpre2, see in_tc2
     else:
-        cert = certify_not_in_tc3(a, b, deep=deep)
+        cert = _certify(a, b, iw, deep)
         status = "certified-out" if cert is not None else "unknown"
     return PairClassification(
-        n=a.n, ts=ts, ts_witness=ts_wit, tpre=tpre, tc_status=status, certificate=cert
+        n=a.n, ts=ts_wit is None, ts_witness=ts_wit, tpre=tpre, tc_status=status, certificate=cert
     )

@@ -43,7 +43,6 @@ __all__ = [
     "candidate_count",
     "lineality_space",
     "cell_system",
-    "relative_interior_feasible",
     "enumerate_cells",
     "f_vector",
     "maximal_cell_orbits",
@@ -167,21 +166,6 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
             if t not in inside:
                 stricts.append(tuple(a - b for a, b in zip(rep, terms[t])))
     return eqs, stricts
-
-
-def relative_interior_feasible(
-    cell_or_equalities: "Cell | Sequence[Row]",
-    stricts: Optional[Sequence[Row]] = None,
-    dim: Optional[int] = None,
-) -> Optional[tuple[Fraction, ...]]:
-    """Interior witness of {E w = 0, S w < 0}, or None.
-
-    Accepts either a :class:`Cell` or the raw (equalities, stricts, dim)."""
-    if isinstance(cell_or_equalities, Cell):
-        cell = cell_or_equalities
-        return strict_feasibility(cell.equalities, cell.inequalities, len(cell.witness))
-    assert stricts is not None and dim is not None
-    return strict_feasibility(cell_or_equalities, stricts, dim)
 
 
 # ---------------------------------------------------------------------------

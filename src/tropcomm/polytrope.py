@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     INF,
@@ -90,10 +90,14 @@ def first_difference(a: TropMatrix, b: TropMatrix) -> Optional[tuple[int, int]]:
     """First row-major entry where the matrices differ, 1-based; None if equal."""
     if a.n != b.n:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
-    for i in range(a.n):
-        for j in range(a.n):
-            if a.rows[i][j] != b.rows[i][j]:
-                return (i + 1, j + 1)
+    return _first_difference(a.rows, b.rows)
+
+
+def _first_difference(lhs: Sequence[Sequence], rhs: Sequence[Sequence]) -> Optional[tuple[int, int]]:
+    """:func:`first_difference` of two grids of one shape (scalars or ints)."""
+    for i, (r, s) in enumerate(zip(lhs, rhs), 1):
+        if r != s:
+            return i, next(j for j, (p, q) in enumerate(zip(r, s), 1) if p != q)
     return None
 
 
@@ -133,11 +137,11 @@ class CommutClassification:
 def _witness(
     lhs: IntGrid, rhs: IntGrid, d: int
 ) -> Optional[tuple[tuple[int, int], TropScalar, TropScalar]]:
-    for i, (r, s) in enumerate(zip(lhs, rhs)):
-        for j, (p, q) in enumerate(zip(r, s)):
-            if p != q:
-                return (i + 1, j + 1), _int_scalar(p, d), _int_scalar(q, d)
-    return None
+    at = _first_difference(lhs, rhs)
+    if at is None:
+        return None
+    i, j = at[0] - 1, at[1] - 1
+    return at, _int_scalar(lhs[i][j], d), _int_scalar(rhs[i][j], d)
 
 
 def classify_polytrope_pair(a: TropMatrix, b: TropMatrix) -> CommutClassification:

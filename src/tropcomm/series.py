@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import INF, TropMatrix, TropScalar, _lcm_scale
+from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _lcm_scale
 
 __all__ = [
     "SeriesPoly",
@@ -31,6 +31,11 @@ class LiftPreconditionError(ValueError):
     """lift_2x2 requires membership in the 2x2 tropical commuting variety."""
 
 
+def _q(x) -> Fraction:
+    # a Fraction is immutable, so it is kept as it is
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class SeriesPoly:
     """Canonical finite sum of c * t^e, sorted by exponent, no zero c."""
@@ -41,8 +46,8 @@ class SeriesPoly:
     def from_terms(terms: Iterable[tuple[Fraction, Fraction]]) -> "SeriesPoly":
         acc: dict[Fraction, Fraction] = {}
         for e, c in terms:
-            e, c = Fraction(e), Fraction(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
+            e, c = _q(e), _q(c)
+            acc[e] = acc.get(e, 0) + c
         return SeriesPoly(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
 
     @staticmethod
@@ -50,13 +55,9 @@ class SeriesPoly:
         return SeriesPoly(())
 
     @staticmethod
-    def one() -> "SeriesPoly":
-        return SeriesPoly.term(1, 0)
-
-    @staticmethod
     def term(coeff, exponent) -> "SeriesPoly":
-        c, e = Fraction(coeff), Fraction(exponent)
-        return SeriesPoly(((e, c),) if c != 0 else ())
+        c = _q(coeff)
+        return SeriesPoly(((_q(exponent), c),) if c != 0 else ())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -80,15 +81,8 @@ class SeriesPoly:
 
     def shift(self, exponent) -> "SeriesPoly":
         """Multiply by t^exponent."""
-        d = Fraction(exponent)
+        d = _q(exponent)
         return SeriesPoly(tuple((e + d, c) for e, c in self.terms))
-
-    def coefficient(self, exponent) -> Fraction:
-        e = Fraction(exponent)
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return Fraction(0)
 
     def __str__(self) -> str:
         return format_series(self)
@@ -195,15 +189,6 @@ class SeriesMatrix:
             tuple(tuple(parse_series(s) for s in row) for row in grid)
         )
 
-    @staticmethod
-    def identity(n: int) -> "SeriesMatrix":
-        return SeriesMatrix(
-            tuple(
-                tuple(SeriesPoly.one() if i == j else SeriesPoly.zero() for j in range(n))
-                for i in range(n)
-            )
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -227,20 +212,6 @@ class SeriesMatrix:
                 for i in range(n)
             )
         )
-
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n = self.n
-        if other.n != n:
-            raise ValueError("size mismatch")
-        return SeriesMatrix(
-            tuple(
-                tuple(self.rows[i][j] + other.rows[i][j] for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    def scale(self, s: SeriesPoly) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(tuple(s * e for e in row) for row in self.rows))
 
     def to_grid(self) -> list[list[str]]:
         return [[format_series(e) for e in row] for row in self.rows]
@@ -288,20 +259,35 @@ class LiftCheck:
 
 
 def verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: TropMatrix) -> LiftCheck:
-    """x*y == y*x exactly, val(x) == a, and val(y) == b; failures pinpointed."""
-    fails: list[tuple[str, tuple[int, int]]] = []
-    xy = x * y
-    yx = y * x
+    """x*y == y*x exactly, val(x) == a, and val(y) == b; failures pinpointed.
+
+    X, Y, A and B must have one size (SizeMismatchError otherwise).  The
+    terms of X and Y are scaled to ints together, so each entry of XY - YX
+    is one int sum, nonzero exactly when the entry fails to commute.
+    """
     n = x.n
+    if not y.n == a.n == b.n == n:
+        raise SizeMismatchError(f"size mismatch: X is {n}x{n}, Y {y.n}x{y.n}, A {a.n}x{a.n}, B {b.n}x{b.n}")
+    polys, _, _ = _int_terms([e for m in (x, y) for row in m.rows for e in row])
+    xs, ys = polys[: n * n], polys[n * n :]
+    fails: list[tuple[str, tuple[int, int]]] = []
     for i in range(n):
         for j in range(n):
-            if xy.rows[i][j] != yx.rows[i][j]:
+            acc: dict[int, int] = {}
+            for k in range(n):
+                for e1, c1 in xs[i * n + k]:
+                    for e2, c2 in ys[k * n + j]:
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+                for e1, c1 in ys[i * n + k]:
+                    for e2, c2 in xs[k * n + j]:
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+            if any(acc.values()):
                 fails.append(("commutation", (i + 1, j + 1)))
     for kind, mat, target in (("valuation-X", x, a), ("valuation-Y", y, b)):
-        vm = val_matrix(mat)
-        for i in range(n):
-            for j in range(n):
-                if vm.rows[i][j] != target.rows[i][j]:
+        for i, (row, trow) in enumerate(zip(mat.rows, target.rows)):
+            for j, (e, t) in enumerate(zip(row, trow)):
+                # the least exponent, None (+inf) for the zero series
+                if (e.terms[0][0] if e.terms else None) != t.value:
                     fails.append((kind, (i + 1, j + 1)))
     return LiftCheck(ok=not fails, failures=tuple(fails))
 
@@ -355,24 +341,17 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
             return None
         alpha = SeriesPoly.term(1, a_val)
 
-    # diagonal entries of t^v * X, one per row
-    u: list[SeriesPoly] = []
-    for i in (0, 1):
-        if diag[i] > w[i]:
-            u.append(SeriesPoly.term(1, diag[i]) - alpha)
-        elif diag[i] == w[i]:
-            c = 1 if alpha.coefficient(w[i]) != -1 else 2
-            u.append(SeriesPoly.term(c, w[i]))
-        else:
-            u.append(SeriesPoly.term(1, w[i]))
-
-    x = SeriesMatrix(
-        (
-            (u[0].shift(-v), SeriesPoly.term(1, av[0][1])),
-            (SeriesPoly.term(1, av[1][0]), u[1].shift(-v)),
-        )
-    )
-    y = SeriesMatrix.identity(2).scale(alpha) + x.scale(SeriesPoly.term(1, v))
+    # the diagonal entries u_i of t^v * X; alpha's coefficient is 1, so
+    # where diag_i == w_i the entry alpha + u_i never cancels
+    one = Fraction(1)
+    u = [
+        SeriesPoly(((w[i], -one), (diag[i], one))) if diag[i] > w[i] else SeriesPoly.term(one, w[i])
+        for i in (0, 1)
+    ]
+    x01, x10 = SeriesPoly.term(one, av[0][1]), SeriesPoly.term(one, av[1][0])
+    x = SeriesMatrix(((u[0].shift(-v), x01), (x10, u[1].shift(-v))))
+    # Y = alpha*I + t^v * X
+    y = SeriesMatrix(((alpha + u[0], x01.shift(v)), (x10.shift(v), alpha + u[1])))
     check = verify_lift(x, y, a, b)
     if not check.ok:
         return None

@@ -14,7 +14,6 @@ simplex tableau does the same (Edmonds 1967; Bareiss 1968), so no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -27,7 +26,6 @@ __all__ = [
     "eliminate",
     "add_pivot",
     "lift_witness",
-    "ExactLPProblem",
     "strict_feasibility",
 ]
 
@@ -163,23 +161,6 @@ def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[in
     r = [piv * a - f * p for a, p in zip(row, prow)]
     g = gcd(*r)
     return [a // g for a in r] if g > 1 else r
-
-
-@dataclass(frozen=True)
-class ExactLPProblem:
-    """Homogeneous strict-feasibility program over Q^dim.
-
-    equalities : integer rows e with e.w = 0 required
-    stricts    : integer rows s with s.w < 0 required
-    """
-
-    equalities: tuple[Row, ...]
-    stricts: tuple[Row, ...]
-    dim: int
-
-    def solve(self) -> Optional[tuple[Fraction, ...]]:
-        """An interior rational witness, or None when infeasible."""
-        return strict_feasibility(self.equalities, self.stricts, self.dim)
 
 
 def strict_feasibility(

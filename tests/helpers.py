@@ -10,7 +10,7 @@ from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
 from tropcomm.polynomials import Monomial
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
-from tropcomm.series import SeriesPoly
+from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
 
 
 def M(rows) -> TropMatrix:
@@ -184,6 +184,25 @@ def fraction_sum_of_products(pairs) -> SeriesPoly:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
     return SeriesPoly(tuple(sorted((e, c) for e, c in out.items() if c != 0)))
+
+
+def fraction_verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: TropMatrix) -> LiftCheck:
+    """Independent oracle for ``verify_lift`` on matrices of one size: both
+    products XY and YX formed in full on Fractions and compared entrywise,
+    then the entrywise valuations, as the library checked before it summed
+    XY - YX on ints."""
+    n = x.n
+
+    def product(p, q):
+        return [[fraction_sum_of_products([(p[i, k], q[k, j]) for k in range(n)]) for j in range(n)]
+                for i in range(n)]
+
+    xy, yx = product(x, y), product(y, x)
+    fails = [("commutation", (i + 1, j + 1)) for i in range(n) for j in range(n) if xy[i][j] != yx[i][j]]
+    for kind, mat, target in (("valuation-X", x, a), ("valuation-Y", y, b)):
+        vm = val_matrix(mat)
+        fails += [(kind, (i + 1, j + 1)) for i in range(n) for j in range(n) if vm[i, j] != target[i, j]]
+    return LiftCheck(ok=not fails, failures=tuple(fails))
 
 
 def initial_slice_ranks(
@@ -380,11 +399,12 @@ def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction
 
 
 def fraction_classify_pair(a: TropMatrix, b: TropMatrix):
-    """Independent oracle for ``classify_pair(a, b, deep=False)`` on 3x3
-    pairs: min-plus products on plain Fractions, and the witness-family loop
-    on Fraction term values, as the library ran it before it tested ties on
-    integers.  Returns (ts, ts_witness, tpre failures, certificate), the
-    certificate as (source, monomial, min value, runner-up value) or None.
+    """Independent oracle for ``classify_pair(a, b, deep=False)`` on 2x2 and
+    3x3 pairs: min-plus products on plain Fractions, and the witness-family
+    loop (3x3 only) on Fraction term values, as the library ran it before it
+    tested ties on integers.  Returns (ts, ts_witness, tpre failures,
+    certificate), the certificate as (source, monomial, min value, runner-up
+    value) or None.
     """
     from tropcomm.commuting import labeled_generators, witness_family
 
@@ -408,7 +428,7 @@ def fraction_classify_pair(a: TropMatrix, b: TropMatrix):
         if vals.count(min(vals)) < 2:
             fails.append(label)
     cert = None
-    for label, f in witness_family():
+    for label, f in witness_family() if n == 3 else ():
         vals = values(f)
         mn = min(v for _, v in vals)
         argmin = [m for m, v in vals if v == mn]

@@ -256,6 +256,28 @@ def test_lift_verify_published_and_perturbed(tmp_path, capsys):
     assert "commutation fails at (1,2)" in out
 
 
+def _series_identity(n):
+    return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _trop_identity(n):
+    return [["0" if i == j else "inf" for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("x_n, y_n, ab_n", [(2, 2, 3), (3, 3, 2), (2, 3, 2)],
+                         ids=["lift-smaller-than-pair", "lift-larger-than-pair", "x-and-y-differ"])
+def test_lift_verify_rejects_mixed_sizes(tmp_path, capsys, x_n, y_n, ab_n):
+    # every series identity lifts a tropical identity of its own size, so
+    # only the size mismatch is wrong here
+    path = tmp_path / "lift.json"
+    ab = _trop_identity(ab_n)
+    path.write_text(json.dumps({"n": ab_n, "X": _series_identity(x_n), "Y": _series_identity(y_n),
+                                "A": ab, "B": ab}))
+    code, out, err = run(capsys, "lift-verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: size mismatch") and "Traceback" not in err
+
+
 _ZEROS2 = [["0", "0"], ["0", "0"]]
 
 

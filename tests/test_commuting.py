@@ -24,7 +24,7 @@ from tropcomm import (
     witness_deg4,
 )
 from tropcomm import commuting
-from tropcomm.commuting import group_elements, labeled_generators, witness_family
+from tropcomm.commuting import TpreResult, group_elements, labeled_generators, witness_family
 from tropcomm.polynomials import (
     SparsePoly,
     matrix_variables,
@@ -358,6 +358,39 @@ def test_integer_ties_match_fraction_oracle():
     # generator, degree-4 and "unknown" outcomes all occur
     assert kinds["g11"] and kinds["deg"] and kinds["unknown"] >= 30, kinds
     assert kinds["tpre"] >= 50 and kinds["ts"] >= 30, kinds
+
+
+def test_shared_scaling_matches_fraction_oracle_2x2_and_inf():
+    # classify_pair scales (A, B) once for the products, the Tpre ties and
+    # the witness family; 2x2 pairs with mixed denominators, half of them
+    # on the prevariety, against the Fraction oracle
+    rng = random.Random(59)
+    dens = (1, 2, 3, 4, 6, 7, 12)
+    statuses = Counter()
+    for trial in range(300):
+        if trial % 2:
+            a, b = random_prevariety_2x2_pair(rng)
+            k = Fraction(rng.randint(1, 9), rng.choice(dens))
+            a, b = (M([[k * e.value for e in row] for row in m.rows]) for m in (a, b))
+        else:
+            a, b = (M([[Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(2)] for _ in range(2)])
+                    for _ in range(2))
+        cls = classify_pair(a, b)
+        ts, witness, failures, cert = fraction_classify_pair(a, b)
+        want = (ts, witness, TpreResult(ok=not failures, failures=failures), "out" if failures else "in", cert)
+        assert repr((cls.ts, cls.ts_witness, cls.tpre, cls.tc_status, cls.certificate)) == repr(want)
+        statuses[cls.tc_status] += 1
+        statuses["ts"] += cls.ts
+    assert statuses["in"] >= 150 and statuses["out"] >= 100 and statuses["ts"] >= 10, statuses
+
+    # a +inf entry: the same exception class as the unscaled path (weight_of_pair)
+    for n in (2, 3):
+        for trial in range(20):
+            grids = [[[str(rng.randint(0, 4)) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+            grids[trial % 2][rng.randrange(n)][rng.randrange(n)] = "inf"
+            with pytest.raises(ValueError) as raised:
+                classify_pair(M(grids[0]), M(grids[1]), deep=False)
+            assert raised.type is ValueError and "finite" in str(raised.value)
 
 
 _CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family",

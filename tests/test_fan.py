@@ -24,10 +24,9 @@ from tropcomm.fan import (
     candidate_count,
     _verify_cell,
     cell_system,
-    relative_interior_feasible,
 )
 from tropcomm.polynomials import SparsePoly
-from tropcomm.simplex import primitive
+from tropcomm.simplex import primitive, strict_feasibility
 
 
 def test_lineality_dimensions():
@@ -50,10 +49,10 @@ def test_relative_interior_feasibility():
     pattern = tuple(tuple(range(len(g))) for g in gens)
     eqs, stricts = cell_system(gens, pattern)
     assert stricts == []
-    assert relative_interior_feasible(eqs, stricts, 8) is not None
+    assert strict_feasibility(eqs, stricts, 8) is not None
 
     # requiring u - v = 0 and u - v < 0 simultaneously is infeasible
-    assert relative_interior_feasible([(1, -1)], [(1, -1)], 2) is None
+    assert strict_feasibility([(1, -1)], [(1, -1)], 2) is None
 
 
 def test_pattern_feasibility_matches_grid_search():
@@ -61,7 +60,7 @@ def test_pattern_feasibility_matches_grid_search():
     # pattern: both terms of the 2-term generator, first two terms of the others
     pattern = ((0, 1), (0, 1), (0, 1))
     eqs, stricts = cell_system(gens, pattern)
-    witness = relative_interior_feasible(eqs, stricts, 8)
+    witness = strict_feasibility(eqs, stricts, 8)
 
     rng = random.Random(31)
     grid_hit = None
@@ -210,25 +209,19 @@ def test_argmin_subsets_order():
     assert sizes == sorted(sizes)
 
 
-def test_exact_lp_problem_api():
-    from tropcomm.simplex import ExactLPProblem
-
-    feasible = ExactLPProblem(equalities=((1, -1, 0),), stricts=((0, 1, -1),), dim=3)
-    w = feasible.solve()
+def test_strict_feasibility_api():
+    w = strict_feasibility(((1, -1, 0),), ((0, 1, -1),), 3)
     assert w is not None
     assert w[0] == w[1] and w[1] < w[2]
 
-    contradictory = ExactLPProblem(
-        equalities=((1, -1, 0),), stricts=((1, -1, 0),), dim=3
-    )
-    assert contradictory.solve() is None
+    assert strict_feasibility(((1, -1, 0),), ((1, -1, 0),), 3) is None
 
 
-def test_relative_interior_feasible_accepts_cells():
+def test_strict_feasibility_accepts_cells():
     cfg = named_config("commuting:n=2")
     cells = enumerate_cells(list(cfg.gens), cfg.dim)
     for c in cells[:4]:
-        w = relative_interior_feasible(c)
+        w = strict_feasibility(c.equalities, c.inequalities, len(c.witness))
         assert w is not None
 
 

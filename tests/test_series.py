@@ -1,6 +1,7 @@
 """Exact series arithmetic, valuations, lift verification, 2x2 lifting."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,13 @@ from tropcomm import (
     val_matrix,
     verify_lift,
 )
-from tropcomm.core import TropScalar
+from tropcomm.core import SizeMismatchError, TropScalar
 from tropcomm.series import format_series
 
-from helpers import LIFT_X, LIFT_Y, S31_A, S31_B, TC2_A, TC2_B, random_tc2_pair
+from helpers import (
+    LIFT_X, LIFT_Y, S31_A, S31_B, TC2_A, TC2_B,
+    fraction_sum_of_products, fraction_verify_lift, random_tc2_pair,
+)
 
 
 def S(text: str) -> SeriesPoly:
@@ -108,6 +112,100 @@ def test_perturbed_lift_fails_with_pinpointed_entry():
     kinds = {k for k, _ in check.failures}
     assert kinds == {"commutation"}
     assert ("commutation", (1, 2)) in check.failures
+
+
+def test_verify_lift_rejects_mixed_sizes():
+    x2, y2 = SeriesMatrix.parse(LIFT_X), SeriesMatrix.parse(LIFT_Y)
+    x3 = SeriesMatrix.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "t"]])
+    a3 = val_matrix(x3)
+    for x, y, a, b in ((x2, y2, a3, a3), (x3, x3, TC2_A, TC2_B), (x2, x3, TC2_A, TC2_B),
+                       (x2, y2, TC2_A, a3)):
+        with pytest.raises(SizeMismatchError):
+            verify_lift(x, y, a, b)
+
+
+def _monomial(rng: random.Random) -> SeriesPoly:
+    exponent = Fraction(rng.randint(-3, 9), rng.choice((1, 2, 3, 4)))
+    coefficient = Fraction(rng.choice((1, -1, 2, -2, 3, -3, 5, -5, 7, -7)), rng.choice((1, 2, 3)))
+    return SeriesPoly.from_terms([(exponent, coefficient)])
+
+
+def _diagonalised_pair(rng: random.Random, n: int) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """X = P*D*adj(P) and Y = P*E*adj(P) for monomial P and diagonal D, E;
+    they commute, as XY = det(P) * P*D*E*adj(P) = YX.  All products are
+    formed on Fractions by the test's own arithmetic."""
+    one = SeriesPoly.from_terms([(0, 1)])
+
+    def mul(*factors):
+        acc = one
+        for f in factors:
+            acc = fraction_sum_of_products([(acc, f)])
+        return acc
+
+    def add(terms):
+        return fraction_sum_of_products([(t, one) for t in terms])
+
+    def neg(f):
+        return SeriesPoly(tuple((e, -c) for e, c in f.terms))
+
+    p = [[_monomial(rng) for _ in range(n)] for _ in range(n)]
+    if n == 2:
+        adj = [[p[1][1], neg(p[0][1])], [neg(p[1][0]), p[0][0]]]
+    else:
+        def cofactor(i, j):
+            r = [k for k in range(3) if k != i]
+            c = [k for k in range(3) if k != j]
+            minor = add([mul(p[r[0]][c[0]], p[r[1]][c[1]]), neg(mul(p[r[0]][c[1]], p[r[1]][c[0]]))])
+            return minor if (i + j) % 2 == 0 else neg(minor)
+
+        adj = [[cofactor(j, i) for j in range(3)] for i in range(3)]
+
+    def conjugate(diag):
+        return SeriesMatrix(tuple(
+            tuple(add([mul(p[i][k], diag[k], adj[k][j]) for k in range(n)]) for j in range(n))
+            for i in range(n)
+        ))
+
+    return conjugate([_monomial(rng) for _ in range(n)]), conjugate([_monomial(rng) for _ in range(n)])
+
+
+def _with_entry(m: SeriesMatrix, i: int, j: int, entry: SeriesPoly) -> SeriesMatrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = entry
+    return SeriesMatrix(tuple(tuple(r) for r in rows))
+
+
+def test_commutator_check_matches_two_product_oracle():
+    # verify_lift sums XY - YX on ints in one scaling; the oracle forms XY
+    # and YX in full on Fractions and compares them
+    rng = random.Random(79)
+    seen = Counter()
+    for trial in range(60):
+        n = 2 + trial % 2
+        x, y = _diagonalised_pair(rng, n)
+        a, b = val_matrix(x), val_matrix(y)
+        cases = [(x, y, a, b)]
+        # one term added to one entry of X or Y
+        i, j = rng.randrange(n), rng.randrange(n)
+        bump = SeriesPoly.from_terms(x[i, j].terms + _monomial(rng).terms)
+        cases.append((_with_entry(x, i, j, bump), y, a, b))
+        bump = SeriesPoly.from_terms(y[i, j].terms + _monomial(rng).terms)
+        cases.append((x, _with_entry(y, i, j, bump), a, b))
+        # the target valuation off at one entry of A or B
+        i, j = rng.randrange(n), rng.randrange(n)
+        off = TropScalar(Fraction(rng.choice((-1, 1)))) + (a[i, j] if a[i, j].is_finite else TropScalar.of(0))
+        rows = [list(r) for r in (a if trial % 4 < 2 else b).rows]
+        rows[i][j] = off
+        shifted = TropMatrix(tuple(tuple(r) for r in rows))
+        cases.append((x, y, shifted, b) if trial % 4 < 2 else (x, y, a, shifted))
+        for k, (xx, yy, aa, bb) in enumerate(cases):
+            got, want = verify_lift(xx, yy, aa, bb), fraction_verify_lift(xx, yy, aa, bb)
+            assert got == want, (trial, k)
+            assert got.ok == (k == 0), (trial, k, got)
+            seen.update(kind for kind, _ in got.failures)
+            seen[f"{n}x{n}"] += 1
+    assert seen["commutation"] >= 100 and seen["valuation-X"] >= 20 and seen["valuation-Y"] >= 20, seen
+    assert seen["2x2"] == seen["3x3"] == 120
 
 
 def test_lift_rejects_non_variety_pairs():
