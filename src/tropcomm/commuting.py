@@ -129,18 +129,18 @@ def symmetric_generators() -> tuple[SparsePoly, ...]:
     return tuple(out)
 
 
+def _finite_weight(vals: list) -> list:
+    """vals, a flattened pair; ValueError if one is None (+inf)."""
+    if any(v is None for v in vals):
+        raise ValueError("weight vectors require finite entries")
+    return vals
+
+
 def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
     """Row-major (vec A, vec B); requires finite entries."""
     if a.n != b.n:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
-    vals: list[Fraction] = []
-    for m in (a, b):
-        for row in m.rows:
-            for e in row:
-                if not e.is_finite:
-                    raise ValueError("weight vectors require finite entries")
-                vals.append(e.value)  # type: ignore[arg-type]
-    return tuple(vals)
+    return tuple(_finite_weight([e.value for m in (a, b) for row in m.rows for e in row]))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +610,7 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
     (x, y), _ = _int_grids(a.rows, b.rows)
     ab, ba = _int_mul(x, y), _int_mul(y, x)
     ts_wit = _first_difference(ab, ba)
-    iw = [v for g in (x, y) for row in g for v in row]
-    if None in iw:
-        raise ValueError("weight vectors require finite entries")
+    iw = _finite_weight([v for g in (x, y) for row in g for v in row])
     tpre = _in_tpre(a.n, iw)
     cert = None
     if a.n == 2:

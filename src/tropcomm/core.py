@@ -64,7 +64,7 @@ def scalar_from_text(text: str) -> "TropScalar":
     if text in ("inf", "+inf", "Inf", "INF"):
         return INF
     try:
-        return _finite(Fraction(text))
+        return TropScalar(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFormatError(f"bad entry {text!r}: {exc}") from None
 
@@ -107,7 +107,7 @@ class TropScalar:
         if isinstance(x, bool):  # an int subclass, never a valid entry
             raise MatrixFormatError(f"bad entry {x!r}: not a number")
         # a Fraction is immutable, so it is kept; subclasses are normalised
-        return _finite(x if type(x) is Fraction else Fraction(x))
+        return TropScalar(x if type(x) is Fraction else Fraction(x))
 
     @property
     def is_finite(self) -> bool:
@@ -138,18 +138,7 @@ class TropScalar:
 
 
 INF = TropScalar(None)
-# One shared scalar per integer in [-_SMALL, _SMALL], the entries of most
-# hand-written and sampled matrices: a matrix of them holds no scalar of its
-# own (a scalar is immutable, so sharing it is safe).
-_SMALL = 64
-_SMALL_SCALARS = tuple(TropScalar(Fraction(k)) for k in range(-_SMALL, _SMALL + 1))
-ZERO = _SMALL_SCALARS[_SMALL]
-
-
-def _finite(q: Fraction) -> TropScalar:
-    if q.denominator == 1 and -_SMALL <= q.numerator <= _SMALL:
-        return _SMALL_SCALARS[q.numerator + _SMALL]
-    return TropScalar(q)
+ZERO = TropScalar(Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -227,16 +227,23 @@ def _int_terms(polys: list[SeriesPoly]) -> tuple[list[list[tuple[int, int]]], in
     return [[next(scaled) for _ in p.terms] for p in polys], de, dc
 
 
+def _add_products(out: dict[int, int], pairs: Iterable[tuple[list, list]], sign: int = 1) -> None:
+    """Add sign * f*g for the pairs of :func:`_int_terms` lists into out
+    (scaled exponent -> scaled coefficient)."""
+    for f, g in pairs:
+        for e1, c1 in f:
+            c1 *= sign
+            for e2, c2 in g:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+
+
 def _int_sum_of_products(pairs: Iterable[tuple[list, list]], de: int, dc: int) -> SeriesPoly:
     """sum of f*g over pairs of :func:`_int_terms` lists, collected in one
     dict; the products' exponents are multiples of 1/De and their
     coefficients of 1/Dc^2, so Fractions are built only for the final terms."""
     out: dict[int, int] = {}
-    for f, g in pairs:
-        for e1, c1 in f:
-            for e2, c2 in g:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
+    _add_products(out, pairs)
     dc *= dc
     return SeriesPoly(tuple((Fraction(e, de), Fraction(c, dc)) for e, c in sorted(out.items()) if c))
 
@@ -274,13 +281,9 @@ def verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: TropMatrix) 
     for i in range(n):
         for j in range(n):
             acc: dict[int, int] = {}
-            for k in range(n):
-                for e1, c1 in xs[i * n + k]:
-                    for e2, c2 in ys[k * n + j]:
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-                for e1, c1 in ys[i * n + k]:
-                    for e2, c2 in xs[k * n + j]:
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+            # row i of one factor against column j of the other
+            _add_products(acc, zip(xs[i * n : i * n + n], ys[j::n]))
+            _add_products(acc, zip(ys[i * n : i * n + n], xs[j::n]), -1)
             if any(acc.values()):
                 fails.append(("commutation", (i + 1, j + 1)))
     for kind, mat, target in (("valuation-X", x, a), ("valuation-Y", y, b)):

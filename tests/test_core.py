@@ -24,7 +24,7 @@ from tropcomm import (
     trop_mul,
     trop_pow,
 )
-from tropcomm.core import ZERO, TropScalar, format_rational, scalar_from_text
+from tropcomm.core import TropScalar, format_rational, scalar_from_text
 
 from helpers import (
     EX5_A, EX5_B, EX7_A, EX7_B, S31_A, S31_B,
@@ -214,12 +214,3 @@ def test_scalar_of_accepted_types():
     for bad in (True, False):
         with pytest.raises(MatrixFormatError):
             TropScalar.of(bad)
-
-
-def test_small_integer_scalars_are_shared():
-    # integers in [-64, 64] map to one shared scalar each, however written
-    m = TropMatrix.of([[3, "3"], [Fraction(6, 2), "-64"]])
-    assert m[0, 0] is m[0, 1] is m[1, 0] is TropScalar.of("3.0")
-    assert m[1, 1] is TropScalar.of(-64) and m[1, 1].value == -64
-    assert TropScalar.of(0) is ZERO and type(TropScalar.of(_Half(4, 2)).value) is Fraction
-    assert TropScalar.of(65) == TropScalar.of("65") and TropScalar.of(65).value == 65
