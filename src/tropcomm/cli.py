@@ -95,20 +95,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.append(f"polytropes: {'yes' if both_polytropes else 'no'}")
     if both_polytropes:
         pc = classify_polytrope_pair(a, b)
+        conditions = (
+            ("commutes", "commutes", pc.commutes),
+            ("star", "star-condition", pc.star_condition),
+            ("square", "square-condition", pc.square_condition),
+            ("product", "product-condition", pc.product_condition),
+        )
         parts = []
-        for name, ok in (
-            ("commutes", pc.commutes),
-            ("star-condition", pc.star_condition),
-            ("square-condition", pc.square_condition),
-            ("product-condition", pc.product_condition),
-        ):
-            key = {"commutes": "commutes", "star-condition": "star",
-                   "square-condition": "square", "product-condition": "product"}[name]
+        for key, label, ok in conditions:
             wit = pc.witnesses.get(key)
-            parts.append(f"{name}: {_yesno(ok, _entry(wit[0]) if wit else None)}")
+            parts.append(f"{label}: {_yesno(ok, _entry(wit[0]) if wit else None)}")
         lines.append(", ".join(parts))
-        for key, label in (("commutes", "commutes"), ("star", "star-condition"),
-                           ("square", "square-condition"), ("product", "product-condition")):
+        for key, label, _ in conditions:
             wit = pc.witnesses.get(key)
             if wit:
                 at, lhs, rhs = wit
@@ -183,7 +181,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         "lineality_dim": lin,
         "f_vector": list(fv.counts),
         "cell_count": len(cells),
-        "max_dim": max((c.dim for c in cells), default=lin),
+        "max_dim": max((c.dim for c in cells), default=None),  # null: empty prevariety
     }
     if args.emit_cells:
         report["cells"] = [

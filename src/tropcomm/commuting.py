@@ -303,12 +303,10 @@ def tie_rows(gens: Sequence[SparsePoly]) -> list[tuple[int, ...]]:
 
 
 def homogeneity_dimension(n: int) -> int:
-    """dim of the all-ties subspace, by exact rank (not by formula)."""
-    from .simplex import exact_rank
+    """dim of the all-ties subspace, by an exact basis (not by formula)."""
+    from .simplex import null_space_basis
 
-    gens = generators(n)
-    d = 2 * n * n
-    return d - exact_rank(tie_rows(gens))
+    return len(null_space_basis(tie_rows(generators(n)), 2 * n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ attained twice" -- is decidable.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -58,13 +59,29 @@ class MatrixFormatError(ValueError):
     """Malformed matrix/pair input (JSON structure or entry syntax)."""
 
 
+def _exact_number(text: str) -> Fraction:
+    """``Fraction(text)``, with a decimal exponent bounded as its digits are,
+    by Python's int-string limit: ``"1e999999999"`` would otherwise build a
+    415 MB integer.  An exponent beyond the limit raises ValueError."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = text.upper().partition("E")
+    if e and limit:
+        try:
+            too_large = abs(int(exponent)) > limit
+        except ValueError:
+            too_large = False  # not an exponent: Fraction reports the syntax
+        if too_large:
+            raise ValueError(f"decimal exponent beyond the limit of {limit}")
+    return Fraction(text)
+
+
 def scalar_from_text(text: str) -> "TropScalar":
     """Parse ``"4.10"``, ``"41/10"`` or ``"inf"`` into an exact scalar."""
     text = text.strip()
     if text in ("inf", "+inf", "Inf", "INF"):
         return INF
     try:
-        return TropScalar(Fraction(text))
+        return TropScalar(_exact_number(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixFormatError(f"bad entry {text!r}: {exc}") from None
 
@@ -415,9 +432,11 @@ def pair_to_json(a: TropMatrix, b: TropMatrix) -> dict:
 
 def load_json(path: str) -> object:
     """Parse a JSON file; numbers with a fraction part or an exponent are
-    read exactly from their text (``0.1`` is 1/10), never through float."""
+    read exactly from their text (``0.1`` is 1/10), never through float.
+    An integer or an exponent beyond Python's int-string limit, and nesting
+    deeper than the interpreter's recursion limit, are refused."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_exact_number)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise MatrixFormatError(f"cannot read {path}: {exc}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 from .commuting import (
@@ -173,78 +173,49 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 # ---------------------------------------------------------------------------
 
 class _Node:
-    """Constraint state for a prefix of generators (copy-on-extend)."""
+    """Constraint state for a prefix of generators (copy-on-extend).
+
+    ``pivots`` are the tie rows reduced by ``add_pivot``; ``stricts`` holds
+    each strict row once, reduced against them, in insertion order."""
 
     __slots__ = ("pivots", "stricts")
 
-    def __init__(self, pivots: dict[int, Row], stricts: dict[Row, int]):
+    def __init__(self, pivots: dict[int, Row], stricts: dict[Row, None]):
         self.pivots = pivots
-        # canonical strict row -> sign (+1/-1 of its primitive form)
         self.stricts = stricts
 
     @staticmethod
     def root() -> "_Node":
         return _Node({}, {})
 
-    def extend(self, eqs: Iterable[Row], new_stricts: Iterable[Row], dim: int) -> Optional["_Node"]:
+    def extend(self, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional["_Node"]:
         """Add constraints; None when infeasibility is already forced."""
         pivots = dict(self.pivots)
-        added = False
-        for row in eqs:
-            if add_pivot(pivots, row) is not None:
-                added = True
-        stricts: dict[Row, int] = {}
-        source = list(self.stricts.items())
-        for row, sign in source:
-            if added:
-                merged = self._canon(eliminate(row if sign > 0 else tuple(-x for x in row), pivots))
-            else:
-                merged = (row, sign)
-            if merged is None:
+        added = [add_pivot(pivots, row) is not None for row in eqs]
+        if any(added):  # the old strict rows need reducing against the new pivots
+            stricts: dict[Row, None] = {}
+            rows = chain(self.stricts, new_stricts)
+        else:
+            stricts = dict(self.stricts)
+            rows = new_stricts
+        for row in rows:
+            r = eliminate(row, pivots)
+            # r < 0 is impossible when r = 0, or when -r < 0 is required too
+            if not any(r) or tuple(-x for x in r) in stricts:
                 return None
-            if not self._push(stricts, merged):
-                return None
-        for row in new_stricts:
-            merged = self._canon(eliminate(row, pivots))
-            if merged is None:
-                return None
-            if not self._push(stricts, merged):
-                return None
+            stricts[r] = None
         return _Node(pivots, stricts)
 
-    @staticmethod
-    def _canon(row: Row) -> Optional[tuple[Row, int]]:
-        if not any(row):
-            return None  # forced to zero: strict < 0 impossible
-        lead = next(x for x in row if x)
-        if lead < 0:
-            return tuple(-x for x in row), -1
-        return row, 1
-
-    @staticmethod
-    def _push(stricts: dict[Row, int], item: tuple[Row, int]) -> bool:
-        row, sign = item
-        old = stricts.get(row)
-        if old is None:
-            stricts[row] = sign
-            return True
-        return old == sign  # opposite signs force r<0 and -r<0: impossible
-
-    def signed_rows(self) -> list[Row]:
-        return [row if sign > 0 else tuple(-x for x in row) for row, sign in self.stricts.items()]
-
     def feasible_witness(self, dim: int) -> Optional[tuple[Fraction, ...]]:
-        rows = self.signed_rows()
-        free = [c for c in range(dim) if c not in self.pivots]
-        if not rows:
-            return tuple(Fraction(0) for _ in range(dim))
-        if not free:
-            return None
+        rows = list(self.stricts)
+        if not rows:  # a linear space: the origin is interior, no LP needed
+            return (Fraction(0),) * dim
         # cheap interior guess: the negated sum of the strict normals
+        free = [c for c in range(dim) if c not in self.pivots]
         guess = [-sum(r[f] for r in rows) for f in free]
         if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
             return lift_witness([Fraction(g) for g in guess], self.pivots, free, dim)
-        return strict_feasibility(tuple(self.pivots.values()), rows, dim)
+        return strict_feasibility(self.pivots, rows, dim)
 
 
 def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[Fraction]) -> None:
@@ -269,7 +240,7 @@ def _enumerate_branch(args) -> list[tuple[Pattern, int, tuple[Fraction, ...]]]:
         _, entries = tables[level]
         choices = entries if not (level == 0 and first_index is not None) else [entries[first_index]]
         for sub, eqs, stricts in choices:
-            child = node.extend(eqs, stricts, dim)
+            child = node.extend(eqs, stricts)
             if child is None:
                 continue
             w = child.feasible_witness(dim)

@@ -1,10 +1,13 @@
 """Exact integer linear algebra and a small fraction-free simplex solver.
 
-Feasibility of a homogeneous system {E w = 0, S w < 0} is decided by
-maximizing an auxiliary slack t subject to S w + t <= 0 and t <= 1: the
-optimum is 1 exactly when the open cone is nonempty (scale any strict
-solution), and the optimal vertex yields an interior rational witness.
-Bland's rule guarantees termination on the degenerate start.
+Feasibility of a homogeneous system {E w = 0, S w < 0} is decided on its
+reduced form: E as pivot rows built by ``add_pivot`` and S eliminated
+against them, so each strict row lives on the free (non-pivot) columns.
+There the LP maximizes an auxiliary slack t subject to S z + t <= 0 and
+t <= 1: the optimum is 1 exactly when the open cone is nonempty (scale any
+strict solution), and the optimal vertex z is lifted back through the pivot
+rows to an interior rational witness.  Bland's rule guarantees termination
+on the degenerate start.
 
 All pivoting is on integer rows.  Elimination clears a column by
 cross-multiplying and divides each new row by the gcd of its entries; the
@@ -20,7 +23,6 @@ from typing import Optional, Sequence
 
 __all__ = [
     "UnboundedNormalizationError",
-    "exact_rank",
     "null_space_basis",
     "primitive",
     "eliminate",
@@ -75,27 +77,13 @@ def add_pivot(pivots: dict[int, Row], row: Sequence[int]) -> Optional[int]:
     return c
 
 
-def exact_rank(rows: Sequence[Sequence[int]]) -> int:
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        add_pivot(pivots, row)
-    return len(pivots)
-
-
 def null_space_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[Fraction, ...]]:
     """Exact basis of {w : rows . w = 0}, one vector per free column."""
     pivots: dict[int, Row] = {}
     for row in rows:
         add_pivot(pivots, row)
     free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
-        for c, p in pivots.items():
-            v[c] = Fraction(-p[f], p[c])
-        basis.append(tuple(v))
-    return basis
+    return [lift_witness([Fraction(int(f == g)) for g in free], pivots, free, dim) for f in free]
 
 
 def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[Fraction, list[Fraction]]:
@@ -164,27 +152,19 @@ def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[in
 
 
 def strict_feasibility(
-    equalities: Sequence[Sequence[int]],
-    stricts: Sequence[Sequence[int]],
-    dim: int,
+    pivots: dict[int, Row], stricts: Sequence[Row], dim: int
 ) -> Optional[tuple[Fraction, ...]]:
-    pivots: dict[int, Row] = {}
-    for row in equalities:
-        add_pivot(pivots, row)
+    """A rational w with E w = 0 and S w < 0, or None when there is none.
+
+    ``pivots`` holds E reduced as ``add_pivot`` builds it; ``stricts`` are
+    the rows of S, each nonzero and already reduced by ``eliminate`` against
+    ``pivots``, so the LP reads them on the free columns only."""
+    if not stricts:
+        return (Fraction(0),) * dim
     free = [c for c in range(dim) if c not in pivots]
-    reduced = []
-    for s in stricts:
-        r = eliminate(s, pivots)
-        if not any(r):
-            return None  # forced to 0, can never be < 0
-        reduced.append(r)
-    if not reduced:
-        w = [Fraction(0)] * dim
-        return tuple(w)
     if not free:
         return None
-    proj = [tuple(r[f] for f in free) for r in reduced]
-    t, z = _simplex_max_t(proj, len(free))
+    t, z = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
     if t <= 0:
         return None
     return lift_witness(z, pivots, free, dim)
@@ -193,6 +173,9 @@ def strict_feasibility(
 def lift_witness(
     z: Sequence[Fraction], pivots: dict[int, Row], free: Sequence[int], dim: int
 ) -> tuple[Fraction, ...]:
+    """The solution of the pivot rows with free coordinates ``z``: each
+    pivot row p_c has only its own pivot column among the pivots, so
+    w[c] = -sum(p_c[f] z_f) / p_c[c] (back-substitution)."""
     w = [Fraction(0)] * dim
     for f, zf in zip(free, z):
         w[f] = zf

@@ -8,9 +8,11 @@ from itertools import combinations_with_replacement
 
 from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
+from tropcomm.fan import _Node
 from tropcomm.polynomials import Monomial
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
+from tropcomm.simplex import strict_feasibility
 
 
 def M(rows) -> TropMatrix:
@@ -332,6 +334,16 @@ def random_prevariety_2x2_pair(rng: random.Random) -> tuple[TropMatrix, TropMatr
     a = TropMatrix.of([[w1 - v, a12], [a21, w2 - v]])
     b = TropMatrix.of([[b11, b12], [a21 + b12 - a12, b22]])
     return a, b
+
+
+def raw_strict_feasibility(eqs, stricts, dim: int):
+    """``strict_feasibility`` on an unreduced system {eqs . w = 0, stricts . w < 0}:
+    reduced as the fan enumerator reduces a prefix (None when the reduction
+    already forces infeasibility)."""
+    node = _Node.root().extend(eqs, stricts)
+    if node is None:
+        return None
+    return strict_feasibility(node.pivots, list(node.stricts), dim)
 
 
 def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction]]:

@@ -307,6 +307,45 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     assert err.startswith("error: ")
 
 
+def test_fan_of_an_empty_prevariety_has_no_max_dim(tmp_path, capsys):
+    # a one-term generator never attains its minimum twice
+    path = tmp_path / "monomial.json"
+    path.write_text(json.dumps({"dimension": 2, "generators": [[{"exponents": [1, 0]}]]}))
+    code, out, _ = run(capsys, "fan", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["cell_count"], report["f_vector"], report["max_dim"]) == (0, [], None)
+    assert report["lineality_dim"] == 2
+
+
+@pytest.mark.parametrize("entry", [
+    '"1e5000"', "1e5000", '"1E-5000"', "1" * 5000, '"1e999999999"', "1e999999999",
+], ids=["string", "number", "negative-exponent", "long-integer", "huge-string", "huge-number"])
+def test_entry_size_is_bounded(tmp_path, capsys, entry):
+    """An entry with more digits, or a larger decimal exponent, than
+    Python's int-string limit (4,300) is refused as malformed input."""
+    path = tmp_path / "pair.json"
+    path.write_text('{"n": 2, "A": [[%s, 0], [0, 0]], "B": [[0, 0], [0, 0]]}' % entry)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_entry_exponent_at_the_limit_is_read(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text('{"n": 2, "A": [["1e4300", 1e-4300], [0, 0]], "B": [[0, 0], [0, 0]]}')
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 0
+
+
 def test_json_numbers_are_read_exactly(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text('{"n": 2, "entries": [[0, 0.1], [2.5e-1, 0]]}')

@@ -26,7 +26,9 @@ from tropcomm.fan import (
     cell_system,
 )
 from tropcomm.polynomials import SparsePoly
-from tropcomm.simplex import primitive, strict_feasibility
+from tropcomm.simplex import add_pivot, eliminate, primitive
+
+from helpers import raw_strict_feasibility
 
 
 def test_lineality_dimensions():
@@ -49,10 +51,10 @@ def test_relative_interior_feasibility():
     pattern = tuple(tuple(range(len(g))) for g in gens)
     eqs, stricts = cell_system(gens, pattern)
     assert stricts == []
-    assert strict_feasibility(eqs, stricts, 8) is not None
+    assert raw_strict_feasibility(eqs, stricts, 8) is not None
 
     # requiring u - v = 0 and u - v < 0 simultaneously is infeasible
-    assert strict_feasibility([(1, -1)], [(1, -1)], 2) is None
+    assert raw_strict_feasibility([(1, -1)], [(1, -1)], 2) is None
 
 
 def test_pattern_feasibility_matches_grid_search():
@@ -60,7 +62,7 @@ def test_pattern_feasibility_matches_grid_search():
     # pattern: both terms of the 2-term generator, first two terms of the others
     pattern = ((0, 1), (0, 1), (0, 1))
     eqs, stricts = cell_system(gens, pattern)
-    witness = strict_feasibility(eqs, stricts, 8)
+    witness = raw_strict_feasibility(eqs, stricts, 8)
 
     rng = random.Random(31)
     grid_hit = None
@@ -210,25 +212,54 @@ def test_argmin_subsets_order():
 
 
 def test_strict_feasibility_api():
-    w = strict_feasibility(((1, -1, 0),), ((0, 1, -1),), 3)
+    w = raw_strict_feasibility(((1, -1, 0),), ((0, 1, -1),), 3)
     assert w is not None
     assert w[0] == w[1] and w[1] < w[2]
 
-    assert strict_feasibility(((1, -1, 0),), ((1, -1, 0),), 3) is None
-
-
-def test_strict_feasibility_accepts_cells():
-    cfg = named_config("commuting:n=2")
-    cells = enumerate_cells(list(cfg.gens), cfg.dim)
-    for c in cells[:4]:
-        w = strict_feasibility(c.equalities, c.inequalities, len(c.witness))
-        assert w is not None
+    assert raw_strict_feasibility(((1, -1, 0),), ((1, -1, 0),), 3) is None
 
 
 def _fan_systems():
     g12, g13, g23 = symmetric_generators()
     cfg = named_config("commuting:n=2")
     return [(list(cfg.gens), cfg.dim), ([g23, g13], 12)]
+
+
+def test_strict_feasibility_accepts_cells():
+    """The LP finds an exact interior point of every enumerated cell."""
+    for gens, dim in _fan_systems():
+        for c in enumerate_cells(gens, dim):
+            w = raw_strict_feasibility(c.equalities, c.inequalities, dim)
+            assert w is not None
+            eqs, stricts = cell_system(gens, c.pattern)
+            assert all(sum(a * x for a, x in zip(row, w)) == 0 for row in eqs)
+            assert all(sum(a * x for a, x in zip(row, w)) < 0 for row in stricts)
+
+
+def test_prefix_systems_are_already_reduced(monkeypatch):
+    """What ``strict_feasibility`` relies on: at every prefix node, adding
+    the pivot rows again rebuilds the same pivots, and each stored strict
+    row is unchanged by elimination against them."""
+    nodes = []
+    real = fan._Node.extend
+
+    def record(self, eqs, stricts):
+        child = real(self, eqs, stricts)
+        if child is not None:
+            nodes.append(child)
+        return child
+
+    monkeypatch.setattr(fan._Node, "extend", record)
+    for gens, dim in _fan_systems():
+        enumerate_cells(gens, dim)
+    monkeypatch.undo()
+    assert len(nodes) > 2000
+    for node in nodes:
+        rebuilt: dict = {}
+        for row in node.pivots.values():
+            add_pivot(rebuilt, row)
+        assert rebuilt == node.pivots
+        assert all(eliminate(row, node.pivots) == row for row in node.stricts)
 
 
 def test_cells_share_the_rows_of_cell_system():
