@@ -143,25 +143,20 @@ def _generators_from_file(path: str) -> tuple[list[SparsePoly], int, tuple[str, 
 
 
 def cmd_fan(args: argparse.Namespace) -> int:
-    symmetric = False
     if args.config.endswith(".json"):
         gens, dim, names = _generators_from_file(args.config)
         label = args.config
     else:
         cfg = fan_mod.named_config(args.config)
-        gens, dim, names, symmetric = list(cfg.gens), cfg.dim, cfg.names, cfg.symmetric
+        gens, dim, names = list(cfg.gens), cfg.dim, cfg.names
         label = cfg.name
-    budget = args.budget
-    if budget is None:
-        try:
-            budget = fan_mod.default_budget()
-        except ValueError as exc:
-            return _fail(EXIT_PARSE, str(exc))
-    elif budget < 1:
-        return _fail(EXIT_PARSE, f"--budget must be >= 1, not {budget}")
+    if args.budget < 1:
+        return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
+    if args.orbits and label != "symmetric:n=3":
+        return _fail(EXIT_UNSUPPORTED, "--orbits needs the symmetric:n=3 configuration")
     _, lin = fan_mod.lineality_space(gens, dim)
     try:
-        cells = fan_mod.enumerate_cells(gens, dim, budget=budget, jobs=args.jobs)
+        cells = fan_mod.enumerate_cells(gens, dim, budget=args.budget, jobs=args.jobs)
     except fan_mod.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if label == "commuting:n=3":
@@ -193,9 +188,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
             for c in cells
         ]
     if args.orbits:
-        if not symmetric:
-            return _fail(EXIT_UNSUPPORTED, "--orbits needs the symmetric:n=3 configuration")
-        orbits = fan_mod.maximal_cell_orbits(cells, gens, names, symmetric=True)
+        orbits = fan_mod.maximal_cell_orbits(cells, gens, names)
         roman = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V"}
         report["orbits"] = [
             {
@@ -221,26 +214,23 @@ def _random_matrix(rng: random.Random, n: int, hi: int) -> TropMatrix:
     )
 
 
+REGIONS = {
+    "ts-minus-tpre": lambda cls: cls.ts and not cls.tpre.ok,
+    "tpre-minus-ts": lambda cls: cls.tpre.ok and not cls.ts,
+    "certified-out": lambda cls: cls.ts and cls.tpre.ok and cls.tc_status == "certified-out",
+}
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n != 3:
         return _fail(EXIT_UNSUPPORTED, "sampling is implemented for n=3")
     rng = random.Random(args.seed)
+    in_region = REGIONS[args.region]
     for draw in range(1, args.max_draws + 1):
         a = _random_matrix(rng, 3, args.range)
         b = _random_matrix(rng, 3, args.range)
         cls = classify_pair(a, b, deep=args.deep)
-        if args.region == "ts-minus-tpre":
-            hit = cls.ts and not cls.tpre.ok
-        elif args.region == "tpre-minus-ts":
-            hit = cls.tpre.ok and not cls.ts
-        elif args.region == "certified-out":
-            hit = cls.ts and cls.tpre.ok and cls.tc_status == "certified-out"
-        else:
-            return _fail(
-                EXIT_UNSUPPORTED,
-                "region must be one of ts-minus-tpre, tpre-minus-ts, certified-out",
-            )
-        if hit:
+        if in_region(cls):
             print(f"found after {draw} draws (seed {args.seed})")
             print(json.dumps(pair_to_json(a, b), sort_keys=True))
             tc = cls.tc_status
@@ -374,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fan", help="tropical prevariety complex of a generator set")
     f.add_argument("config", help='"commuting:n=K", "symmetric:n=3", or a generators .json file')
-    f.add_argument("--budget", type=int, default=None, help="candidate-pattern budget")
+    f.add_argument("--budget", type=int, default=fan_mod.DEFAULT_BUDGET, help="candidate-pattern budget")
     f.add_argument("--jobs", type=int, default=1, help="worker processes")
     f.add_argument("--emit-cells", action="store_true")
     f.add_argument("--orbits", action="store_true", help="orbit table of maximal cells")
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fan)
 
     s = sub.add_parser("sample", help="random search for a region representative")
-    s.add_argument("--region", required=True)
+    s.add_argument("--region", required=True, choices=REGIONS)
     s.add_argument("--n", type=int, default=3)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-draws", type=int, default=100000)

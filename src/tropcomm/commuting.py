@@ -321,8 +321,12 @@ def group_elements(n: int = 3) -> list[GroupElement]:
     return [(sigma, swap) for sigma in sorted(permutations(range(1, n + 1))) for swap in (False, True)]
 
 
-def variable_permutation(g: GroupElement, names: tuple[str, ...], symmetric: bool = False) -> tuple[int, ...]:
-    """Index permutation induced on a variable list by (sigma, swap)."""
+def variable_permutation(g: GroupElement, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Index permutation induced on a variable list by (sigma, swap).
+
+    An image missing from the list is read as its transpose (x21 as x12),
+    so on the upper-triangle variables of symmetric pairs the action
+    follows from the names."""
     sigma, swap = g
     idx = {nm: i for i, nm in enumerate(names)}
     perm = []
@@ -331,14 +335,13 @@ def variable_permutation(g: GroupElement, names: tuple[str, ...], symmetric: boo
         if swap:
             p = "y" if p == "x" else "x"
         a, b = sigma[i - 1], sigma[j - 1]
-        if symmetric:
-            a, b = min(a, b), max(a, b)
-        perm.append(idx[f"{p}{a}{b}"])
+        image = f"{p}{a}{b}"
+        perm.append(idx[image] if image in idx else idx[f"{p}{b}{a}"])
     return tuple(perm)
 
 
-def apply_group(f: SparsePoly, g: GroupElement, names: tuple[str, ...], symmetric: bool = False) -> SparsePoly:
-    return f.permute_variables(variable_permutation(g, names, symmetric))
+def apply_group(f: SparsePoly, g: GroupElement, names: tuple[str, ...]) -> SparsePoly:
+    return f.permute_variables(variable_permutation(g, names))
 
 
 # ---------------------------------------------------------------------------

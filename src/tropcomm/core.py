@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -60,9 +61,10 @@ class MatrixFormatError(ValueError):
 
 
 def _exact_number(text: str) -> Fraction:
-    """``Fraction(text)``, with a decimal exponent bounded as its digits are,
-    by Python's int-string limit: ``"1e999999999"`` would otherwise build a
-    415 MB integer.  An exponent beyond the limit raises ValueError."""
+    """``Fraction(text)``, refused (ValueError) when its numerator or
+    denominator has more digits than Python's int-string limit, since no
+    output could print it.  The decimal exponent is checked first:
+    ``"1e999999999"`` would otherwise build a 415 MB integer."""
     limit = sys.get_int_max_str_digits()
     _, e, exponent = text.upper().partition("E")
     if e and limit:
@@ -72,7 +74,15 @@ def _exact_number(text: str) -> Fraction:
             too_large = False  # not an exponent: Fraction reports the syntax
         if too_large:
             raise ValueError(f"decimal exponent beyond the limit of {limit}")
-    return Fraction(text)
+    q = Fraction(text)
+    if limit and max(abs(q.numerator), q.denominator) >= _power_of_ten(limit):
+        raise ValueError(f"more than {limit} digits")
+    return q
+
+
+@cache
+def _power_of_ten(k: int) -> int:
+    return 10 ** k
 
 
 def scalar_from_text(text: str) -> "TropScalar":

@@ -102,7 +102,10 @@ def intersection_region_vertices(a: TropMatrix, b: TropMatrix) -> list[Point]:
 
 
 def _fmt(q: Fraction) -> str:
-    return f"{float(q):.3f}"
+    try:
+        return f"{float(q):.3f}"
+    except OverflowError:
+        raise ValueError("a coordinate is too large to draw") from None
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,20 @@ from typing import Iterable, Optional, Sequence
 
 from .commuting import (
     GroupElement,
-    apply_group,
     generators,
     group_elements,
     symmetric_generators,
+    variable_permutation,
 )
 from .core import _lcm_scale
-from .polynomials import Monomial, SparsePoly, matrix_variables, monomial_str, symmetric_variables
+from .polynomials import (
+    Monomial,
+    SparsePoly,
+    matrix_variables,
+    monomial_str,
+    permute_monomial,
+    symmetric_variables,
+)
 from .simplex import Row, add_pivot, eliminate, lift_witness, primitive, strict_feasibility
 
 __all__ = [
@@ -70,6 +77,9 @@ class BudgetExceededError(RuntimeError):
 
 
 Pattern = tuple[tuple[int, ...], ...]
+# a group element on patterns: per generator, the index of its image and the
+# index there of each of its terms' images
+PatternAction = list[tuple[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -326,82 +336,59 @@ def f_vector(cells: Sequence[Cell], lineality_dim: int) -> FVector:
 # symmetry orbits of maximal cells
 # ---------------------------------------------------------------------------
 
-def _pattern_key(gens: Sequence[SparsePoly], pattern: Pattern) -> frozenset:
-    key = []
-    for g, sub in zip(gens, pattern):
-        terms = g.monomials()
-        key.append(frozenset(terms[t] for t in sub))
-    return frozenset(zip(range(len(gens)), key))
+def _pattern_action(ge: GroupElement, gens: Sequence[SparsePoly], names: tuple[str, ...]) -> PatternAction:
+    """``ge`` maps each generator to a generator up to sign, so it maps
+    argmin patterns to argmin patterns."""
+    perm = variable_permutation(ge, names)
+    where = {frozenset(g.monomials()): j for j, g in enumerate(gens)}
+    action = []
+    for g in gens:
+        images = [permute_monomial(m, perm) for m in g.monomials()]
+        j = where[frozenset(images)]
+        action.append((j, tuple(map(gens[j].monomials().index, images))))
+    return action
+
+
+def _act(action: PatternAction, pattern: Pattern) -> Pattern:
+    image: list[tuple[int, ...]] = [()] * len(pattern)
+    for (j, term_map), sub in zip(action, pattern):
+        image[j] = tuple(sorted(term_map[t] for t in sub))
+    return tuple(image)
 
 
 def maximal_cell_orbits(
-    cells: Sequence[Cell],
-    gens: Sequence[SparsePoly],
-    names: tuple[str, ...],
-    symmetric: bool = True,
+    cells: Sequence[Cell], gens: Sequence[SparsePoly], names: tuple[str, ...]
 ) -> list[Orbit]:
     """Group the top-dimensional cells under the row/column + swap action.
 
-    Orbits are sorted by size; each cell is reported with its per-generator
-    tied monomial pairs (variable-name strings).
+    The action on variables follows from ``names`` (see
+    :func:`tropcomm.commuting.variable_permutation`).  Orbits are sorted by
+    size; each cell is reported with its per-generator tied monomial pairs
+    (variable-name strings).  AssertionError if an image of a maximal cell
+    is not among ``cells``.
     """
     if not cells:
         return []
     top = max(c.dim for c in cells)
-    maximal = [c for c in cells if c.dim == top]
-    support_to_cell = {_pattern_key(gens, c.pattern): c for c in maximal}
-
-    # generator index mapping under each group element
-    gen_supports = [frozenset(g.monomials()) for g in gens]
-    elements = group_elements(3)
-    actions = []
-    for ge in elements:
-        mapped_gens = []
-        for g in gens:
-            img = apply_group(g, ge, names, symmetric=symmetric)
-            sup = frozenset(img.monomials())
-            mapped_gens.append(gen_supports.index(sup))
-        actions.append((ge, mapped_gens))
-
-    def act(key: frozenset, ge: GroupElement, mapped_gens: list[int]) -> frozenset:
-        from .commuting import variable_permutation
-
-        perm = variable_permutation(ge, names, symmetric=symmetric)
-        out = []
-        for gi, monos in key:
-            imgs = []
-            for m in monos:
-                e = [0] * len(m)
-                for pos, k in enumerate(m):
-                    if k:
-                        e[perm[pos]] += k
-                imgs.append(tuple(e))
-            out.append((mapped_gens[gi], frozenset(imgs)))
-        return frozenset(out)
-
-    seen: set[frozenset] = set()
+    maximal = {c.pattern for c in cells if c.dim == top}
+    actions = [_pattern_action(ge, gens, names) for ge in group_elements(3)]
+    seen: set[Pattern] = set()
     orbits = []
-    for key in sorted(support_to_cell, key=lambda k: support_to_cell[k].pattern):
-        if key in seen:
+    for pattern in sorted(maximal):
+        if pattern in seen:
             continue
-        orbit_keys = set()
-        for ge, mapped in actions:
-            img = act(key, ge, mapped)
-            if img not in support_to_cell:
-                raise AssertionError("group action left the set of maximal cells")
-            orbit_keys.add(img)
-        seen |= orbit_keys
-        members = sorted((support_to_cell[k] for k in orbit_keys), key=lambda c: c.pattern)
-        ties = []
-        for c in members:
-            per_gen = []
-            for g, sub in zip(gens, c.pattern):
-                terms = g.monomials()
-                per_gen.append(tuple(sorted(monomial_str(terms[t], names) for t in sub)))
-            ties.append(tuple(per_gen))
-        orbits.append(
-            Orbit(size=len(members), cells=tuple(c.pattern for c in members), tie_pairs=tuple(ties))
+        members = sorted({_act(action, pattern) for action in actions})
+        if not maximal.issuperset(members):
+            raise AssertionError("group action left the set of maximal cells")
+        seen.update(members)
+        ties = tuple(
+            tuple(
+                tuple(sorted(monomial_str(g.monomials()[t], names) for t in sub))
+                for g, sub in zip(gens, member)
+            )
+            for member in members
         )
+        orbits.append(Orbit(size=len(members), cells=tuple(members), tie_pairs=ties))
     orbits.sort(key=lambda o: (o.size, o.cells))
     return orbits
 
@@ -416,19 +403,12 @@ class FanConfig:
     gens: tuple[SparsePoly, ...]
     dim: int
     names: tuple[str, ...]
-    symmetric: bool
 
 
 def named_config(name: str) -> FanConfig:
     """Look up "commuting:n=K" or "symmetric:n=3"."""
     if name == "symmetric:n=3":
-        return FanConfig(
-            name=name,
-            gens=tuple(symmetric_generators()),
-            dim=12,
-            names=symmetric_variables(),
-            symmetric=True,
-        )
+        return FanConfig(name=name, gens=tuple(symmetric_generators()), dim=12, names=symmetric_variables())
     if name.startswith("commuting:n="):
         try:
             n = int(name.split("=", 1)[1])
@@ -436,28 +416,5 @@ def named_config(name: str) -> FanConfig:
             raise ValueError(f"bad configuration name: {name!r}") from None
         if n < 2:
             raise ValueError("n must be >= 2")
-        return FanConfig(
-            name=name,
-            gens=tuple(generators(n)),
-            dim=2 * n * n,
-            names=matrix_variables(n),
-            symmetric=False,
-        )
+        return FanConfig(name=name, gens=tuple(generators(n)), dim=2 * n * n, names=matrix_variables(n))
     raise ValueError(f"unknown configuration {name!r}")
-
-
-def default_budget() -> int:
-    """``TROPCOMM_BUDGET`` when set and non-empty, else DEFAULT_BUDGET.
-
-    A value that is not an integer >= 1 raises ValueError naming the
-    variable."""
-    env = os.environ.get("TROPCOMM_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"TROPCOMM_BUDGET must be an integer >= 1, not {env!r}")
-    return budget

@@ -18,13 +18,17 @@ __all__ = [
     "symmetric_variables",
     "monomial",
     "monomial_str",
+    "permute_monomial",
 ]
 
 Monomial = tuple[int, ...]
 
 
 def matrix_variables(n: int) -> tuple[str, ...]:
-    """Row-major x then y: x11, ..., xnn, y11, ..., ynn."""
+    """Row-major x then y: x11, ..., xnn, y11, ..., ynn.  Indices are one
+    digit each, so n > 9 raises ValueError (x111 would be x1,11 and x11,1)."""
+    if n > 9:
+        raise ValueError(f"n = {n}: variable names have one-digit indices, so n must be <= 9")
     return tuple(
         f"{p}{i}{j}" for p in "xy" for i in range(1, n + 1) for j in range(1, n + 1)
     )
@@ -55,6 +59,15 @@ def monomial_str(m: Monomial, names: tuple[str, ...]) -> str:
         elif k > 1:
             parts.append(f"{names[i]}^{k}")
     return "*".join(parts) if parts else "1"
+
+
+def permute_monomial(m: Monomial, perm: tuple[int, ...]) -> Monomial:
+    """Relabel variables: the exponent at position i moves to position perm[i]."""
+    e = [0] * len(m)
+    for pos, k in enumerate(m):
+        if k:
+            e[perm[pos]] += k
+    return tuple(e)
 
 
 @dataclass(frozen=True)
@@ -120,14 +133,7 @@ class SparsePoly:
 
     def permute_variables(self, perm: tuple[int, ...]) -> "SparsePoly":
         """Relabel variables: position i goes to position perm[i]."""
-        out = []
-        for m, c in self.terms:
-            e = [0] * len(m)
-            for pos, k in enumerate(m):
-                if k:
-                    e[perm[pos]] += k
-            out.append((tuple(e), c))
-        return SparsePoly.from_terms(out)
+        return SparsePoly.from_terms((permute_monomial(m, perm), c) for m, c in self.terms)
 
     def equal_up_to_sign(self, other: "SparsePoly") -> bool:
         """self == other or self == -other (same terms, coefficients up to sign)."""

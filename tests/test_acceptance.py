@@ -116,7 +116,7 @@ TYPE_III = (("x11*y12", "x12*y11"), ("x11*y13", "x13*y11"), ("x12*y13", "x13*y12
 
 def test_criterion_3_orbits(symmetric_run, capsys):
     cfg, gens, lin, cells, _ = symmetric_run
-    orbits = maximal_cell_orbits(cells, gens, cfg.names, symmetric=True)
+    orbits = maximal_cell_orbits(cells, gens, cfg.names)
     sizes = [o.size for o in orbits]
 
     def orbit_with(listing) -> bool:

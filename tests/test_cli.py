@@ -103,24 +103,6 @@ def test_fan_budget_guard(capsys):
     assert "1658" in err  # the reference constants are surfaced
 
 
-def test_fan_rejects_unparseable_budget_variable(monkeypatch, capsys):
-    monkeypatch.setenv("TROPCOMM_BUDGET", "1e7")
-    code, out, err = run(capsys, "fan", "commuting:n=2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "TROPCOMM_BUDGET" in err and "1e7" in err
-    monkeypatch.setenv("TROPCOMM_BUDGET", "10")
-    code, _, err = run(capsys, "fan", "commuting:n=3")
-    assert code == 4 and "budget of 10" in err
-
-
-@pytest.mark.parametrize("value", ["-5", "0"])
-def test_fan_rejects_budget_variable_below_one(monkeypatch, capsys, value):
-    monkeypatch.setenv("TROPCOMM_BUDGET", value)
-    code, out, err = run(capsys, "fan", "commuting:n=2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "TROPCOMM_BUDGET" in err and value in err
-
-
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_fan_rejects_budget_option_below_one(capsys, value):
     code, out, err = run(capsys, "fan", "commuting:n=2", "--budget", value)
@@ -128,6 +110,23 @@ def test_fan_rejects_budget_option_below_one(capsys, value):
     assert err.startswith("error:") and "--budget" in err and value in err
     code, _, _ = run(capsys, "fan", "commuting:n=2", "--budget", "1000")
     assert code == 0
+    code, _, err = run(capsys, "fan", "commuting:n=2", "--budget", "10")
+    assert code == 4 and "budget of 10" in err
+
+
+def test_fan_orbits_need_the_symmetric_configuration(capsys):
+    code, out, err = run(capsys, "fan", "commuting:n=2", "--orbits")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "symmetric:n=3" in err
+
+
+@pytest.mark.parametrize("argv", [("gens", "--n", "10"), ("fan", "commuting:n=10")])
+def test_matrix_size_is_at_most_9(capsys, argv):
+    """Variable names carry one-digit indices: from n = 11 on, x111 would
+    name both x1,11 and x11,1."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "<= 9" in err
 
 
 def test_fan_generator_file(tmp_path, capsys):
@@ -157,6 +156,13 @@ def test_sample_ts_minus_tpre(capsys):
     assert code == 0
     assert "found after 119 draws" in out
     assert "TS: yes, Tpre: no" in out
+
+
+def test_sample_rejects_an_unknown_region(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--region", "bogus", "--max-draws", "0"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_sample_exhaustion(capsys):
@@ -320,10 +326,13 @@ def test_fan_of_an_empty_prevariety_has_no_max_dim(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     '"1e5000"', "1e5000", '"1E-5000"', "1" * 5000, '"1e999999999"', "1e999999999",
-], ids=["string", "number", "negative-exponent", "long-integer", "huge-string", "huge-number"])
+    '"1e4300"', '"1e-4300"', '"9999e4297"', "9999e4297",
+], ids=["string", "number", "negative-exponent", "long-integer", "huge-string", "huge-number",
+        "digits-string", "denominator-digits", "mantissa-digits", "mantissa-digits-number"])
 def test_entry_size_is_bounded(tmp_path, capsys, entry):
-    """An entry with more digits, or a larger decimal exponent, than
-    Python's int-string limit (4,300) is refused as malformed input."""
+    """An entry whose numerator or denominator has more digits than
+    Python's int-string limit (4,300), or whose decimal exponent is larger,
+    is refused as malformed input."""
     path = tmp_path / "pair.json"
     path.write_text('{"n": 2, "A": [[%s, 0], [0, 0]], "B": [[0, 0], [0, 0]]}' % entry)
     code, out, err = run(capsys, "check", str(path))
@@ -341,9 +350,15 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
 
 def test_entry_exponent_at_the_limit_is_read(tmp_path, capsys):
     path = tmp_path / "pair.json"
-    path.write_text('{"n": 2, "A": [["1e4300", 1e-4300], [0, 0]], "B": [[0, 0], [0, 0]]}')
+    path.write_text('{"n": 2, "A": [["1e4299", 1e-4299], [0, 0]], "B": [[0, 0], [0, 0]]}')
     code, _, _ = run(capsys, "check", str(path))
     assert code == 0
+    # 4,300 digits: read, and printed back by star
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "entries": [[0, "1e4299"], [0, 0]]}')
+    code, out, _ = run(capsys, "star", str(path))
+    assert code == 0
+    assert json.loads(out)["entries"][0][1] == "1" + "0" * 4299
 
 
 def test_json_numbers_are_read_exactly(tmp_path, capsys):
@@ -362,6 +377,14 @@ def test_svg_command(tmp_path, capsys):
     assert code == 0
     assert out_path.exists()
     assert "<svg" in out_path.read_text()
+
+
+def test_svg_of_a_coordinate_beyond_float_exits_3(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"n": 3, "entries": [["0", "1e400", "0"], ["0", "0", "0"], ["0", "0", "0"]]}))
+    code, out, err = run(capsys, "svg", str(m), "-o", str(tmp_path / "out.svg"))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "too large" in err
 
 
 def test_sample_tpre_minus_ts(capsys):

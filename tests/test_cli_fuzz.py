@@ -1,37 +1,41 @@
 """Seeded fuzz of the command-line input paths (standard library only).
 
-Valid ``check``, ``lift``, ``lift-verify``, ``certify`` and ``fan`` inputs
-are mutated: wrong sizes, non-square grids, bad entry and series strings,
-wrong JSON types, missing keys and truncated JSON text.  Every mutant must
-end in an exit code the README documents for its command ("Exit codes"),
-with an ``error:`` line on failure and never a traceback.
+Valid ``check``, ``lift``, ``lift-verify``, ``certify``, ``fan``, ``star``
+and ``svg`` inputs are mutated: wrong sizes, non-square grids, bad entry and
+series strings, entries too large for a float, wrong JSON types, missing
+keys and truncated JSON text.  Every mutant must end in an exit code the
+README documents for its command ("Exit codes"), with an ``error:`` line on
+failure and never a traceback.
 """
 
 import copy
 import json
+import os
 import random
 
 import pytest
 
 from tropcomm.cli import main
 
-from helpers import LIFT_X, LIFT_Y, P7B_C, P7B_D, TC2_A, TC2_B
-from tropcomm.core import pair_to_json
+from helpers import LIFT_X, LIFT_Y, P7A_A, P7B_C, P7B_D, TC2_A, TC2_B
+from tropcomm.core import matrix_to_json, pair_to_json
 
-# README "Exit codes": 0 ok, 1 lift not verified (lift-verify), 2 parse
-# error, 3 unsupported input, 4 budget exceeded
+# README "Exit codes": 0 ok, 1 negative cycle (star) or lift not verified
+# (lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded
 DOCUMENTED = {
     "check": {0, 2, 3},
     "lift": {0, 2, 3},
     "lift-verify": {0, 1, 2, 3},
     "certify": {0, 2, 3},
     "fan": {0, 2, 3, 4},
+    "star": {0, 1, 2, 3},
+    "svg": {0, 2, 3},
 }
 
 BAD_VALUES = [None, True, 3, -1, 2.5, "x", "", [], {}, [[1]], [["0"]], {"n": 2}]
 BAD_ENTRIES = ["abc", "1/0", "", "nan", "1//2", "--1", "0x10", "1 2", True, None, [], {}, [1]]
 BAD_SERIES = ["t^", "1++t", "t^(1/0)", "2**t", "x", "t^-", "(", "t^(1/2", "1/0", "3 4", "t t", 5, None, []]
-GOOD_ENTRIES = ["0", "inf", "-3/7", "2.5", 4, "1e2"]
+GOOD_ENTRIES = ["0", "inf", "-3/7", "2.5", 4, "1e2", "1e400"]
 GOOD_SERIES = ["0", "1", "t", "-2*t^(1/2)", "t^-1 + 3", "1/3*t^4"]
 
 GENERATORS = {
@@ -62,6 +66,8 @@ def _seeds():
         ("lift-verify", [], lift),
         ("certify", ["--shallow"], p7b),
         ("fan", [], GENERATORS),
+        ("star", [], matrix_to_json(P7B_C)),
+        ("svg", ["-o", os.devnull], matrix_to_json(P7A_A)),
     ]
 
 
@@ -69,7 +75,7 @@ def _grids(obj):
     """(container, key) of every grid in a mutable JSON object."""
     if not isinstance(obj, dict):
         return []
-    return [(obj, k) for k in ("A", "B", "X", "Y") if isinstance(obj.get(k), list)]
+    return [(obj, k) for k in ("A", "B", "X", "Y", "entries") if isinstance(obj.get(k), list)]
 
 
 def _mutate(rng: random.Random, obj):
@@ -123,14 +129,14 @@ def _mutate(rng: random.Random, obj):
 
 def _resize(rng: random.Random, obj):
     """Square grids of a new size k: X and Y together, A and B together
-    (with n = k, or n unchanged), or one grid alone."""
-    groups = [g for g in (("X", "Y"), ("A", "B"), ("X",), ("A",)) if all(k in obj for k in g)]
+    or a matrix's entries (with n = k, or n unchanged), or one grid alone."""
+    groups = [g for g in (("X", "Y"), ("A", "B"), ("X",), ("A",), ("entries",)) if all(k in obj for k in g)]
     group = rng.choice(groups)
     k = rng.choice([s for s in (1, 2, 3) if s != len(obj[group[0]])])
     for key in group:
         flat = [e for row in obj[key] for e in row] or ["0"]
         obj[key] = [[flat[(i * k + j) % len(flat)] for j in range(k)] for i in range(k)]
-    if group == ("A", "B") and rng.random() < 0.5:
+    if group in (("A", "B"), ("entries",)) and rng.random() < 0.5:
         obj["n"] = k
     return f"resize {'+'.join(group)} to {k}", obj
 

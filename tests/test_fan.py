@@ -8,11 +8,13 @@ import pytest
 
 from tropcomm import (
     BudgetExceededError,
+    Cell,
     fan,
     enumerate_cells,
     f_vector,
     generators,
     lineality_space,
+    maximal_cell_orbits,
     named_config,
     symmetric_generators,
     trop_satisfied,
@@ -308,3 +310,37 @@ def test_pool_size_is_bounded(monkeypatch):
         monkeypatch.setattr(fan.os, "cpu_count", lambda: cpus)
         assert enumerate_cells([g23, g13], 12, jobs=10 ** 6) == serial
         assert sizes[-1] == expected
+
+
+# the maximal (10-dimensional) cells of symmetric:n=3 and their S3 x S2
+# orbits, types I-III, as the enumerator and the orbit code reported them
+SYMMETRIC_3_ORBITS = (
+    (((0, 2), (1, 4), (4, 5)),),
+    (((1, 5), (0, 5), (0, 3)), ((3, 4), (2, 3), (1, 2))),
+    (((0, 2), (0, 2), (0, 1)), ((1, 3), (1, 4), (2, 3)), ((4, 5), (3, 5), (4, 5))),
+)
+
+
+def _top_cells(patterns):
+    return [Cell(pattern=p, equalities=(), inequalities=(), dim=10, witness=()) for p in patterns]
+
+
+def test_maximal_cell_orbits_of_the_symmetric_3x3_prevariety():
+    cfg = named_config("symmetric:n=3")
+    patterns = [p for orbit in SYMMETRIC_3_ORBITS for p in orbit]
+    # one lower-dimensional cell, which the orbits ignore
+    low = Cell(pattern=((0, 1), (0, 1), (0, 1)), equalities=(), inequalities=(), dim=9, witness=())
+    orbits = maximal_cell_orbits(_top_cells(reversed(patterns)) + [low], list(cfg.gens), cfg.names)
+    assert [(o.size, o.cells) for o in orbits] == [(len(c), c) for c in SYMMETRIC_3_ORBITS]
+    assert orbits[0].tie_pairs == ((("x13*y23", "x23*y13"), ("x12*y23", "x23*y12"), ("x12*y13", "x13*y12")),)
+    assert orbits[1].tie_pairs[1] == (
+        ("x12*y11", "x12*y22"), ("x13*y11", "x13*y33"), ("x23*y22", "x23*y33"),
+    )
+
+
+@pytest.mark.parametrize("missing", [p for orbit in SYMMETRIC_3_ORBITS[1:] for p in orbit])
+def test_maximal_cell_orbits_need_every_orbit_member(missing):
+    cfg = named_config("symmetric:n=3")
+    patterns = [p for orbit in SYMMETRIC_3_ORBITS for p in orbit if p != missing]
+    with pytest.raises(AssertionError):
+        maximal_cell_orbits(_top_cells(patterns), list(cfg.gens), cfg.names)
