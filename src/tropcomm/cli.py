@@ -222,6 +222,10 @@ REGIONS = {
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.max_draws < 1:
+        return _fail(EXIT_PARSE, f"--max-draws must be >= 1, not {args.max_draws}")
+    if args.range < 0:
+        return _fail(EXIT_PARSE, f"--range must be >= 0, not {args.range}")
     if args.n != 3:
         return _fail(EXIT_UNSUPPORTED, "sampling is implemented for n=3")
     rng = random.Random(args.seed)

@@ -74,9 +74,15 @@ def _exact_number(text: str) -> Fraction:
             too_large = False  # not an exponent: Fraction reports the syntax
         if too_large:
             raise ValueError(f"decimal exponent beyond the limit of {limit}")
-    q = Fraction(text)
+    return _printable(Fraction(text), "the entry")
+
+
+def _printable(q: Fraction, what: str) -> Fraction:
+    """q, or ValueError naming ``what`` when its numerator or denominator
+    has more digits than Python's int-string limit lets any output print."""
+    limit = sys.get_int_max_str_digits()
     if limit and max(abs(q.numerator), q.denominator) >= _power_of_ten(limit):
-        raise ValueError(f"more than {limit} digits")
+        raise ValueError(f"{what} has more than {limit:,} digits, too long to print")
     return q
 
 
@@ -98,11 +104,12 @@ def scalar_from_text(text: str) -> "TropScalar":
 
 def scalar_to_text(s: "TropScalar") -> str:
     """Lowest-terms fraction string, or ``"inf"``."""
-    return "inf" if s.value is None else str(s.value)
+    return "inf" if s.value is None else str(_printable(s.value, "a computed entry"))
 
 
 def format_rational(q: Fraction) -> str:
     """Render exactly: as a decimal when the denominator divides 100."""
+    _printable(q, "a computed entry")
     if 100 % q.denominator == 0:
         scaled = q * 100
         whole, cents = divmod(abs(scaled.numerator), 100)

@@ -25,7 +25,6 @@ from .commuting import (
     symmetric_generators,
     variable_permutation,
 )
-from .core import _lcm_scale
 from .polynomials import (
     Monomial,
     SparsePoly,
@@ -34,7 +33,7 @@ from .polynomials import (
     permute_monomial,
     symmetric_variables,
 )
-from .simplex import Row, add_pivot, eliminate, lift_witness, primitive, strict_feasibility
+from .simplex import Row, Witness, add_pivot, eliminate, lift_witness, primitive, strict_feasibility
 
 __all__ = [
     "BudgetExceededError",
@@ -129,8 +128,8 @@ def candidate_count(gens: Sequence[SparsePoly]) -> int:
     return total
 
 
-def lineality_space(gens: Sequence[SparsePoly], dim: int) -> tuple[list[tuple[Fraction, ...]], int]:
-    """Basis and dimension of the all-ties subspace (ties of every generator)."""
+def lineality_space(gens: Sequence[SparsePoly], dim: int) -> tuple[list[Row], int]:
+    """Integer basis and dimension of the all-ties subspace (ties of every generator)."""
     from .commuting import tie_rows
     from .simplex import null_space_basis
 
@@ -139,26 +138,30 @@ def lineality_space(gens: Sequence[SparsePoly], dim: int) -> tuple[list[tuple[Fr
     return basis, len(basis)
 
 
-def _gen_tables(gens: Sequence[SparsePoly], dim: int):
-    """Per generator: term list plus, per argmin subset, (eq rows, strict rows)."""
+def _gen_tables(gens: Sequence[SparsePoly]):
+    """Per generator: its terms, its distinct tie and strict rows, and per
+    argmin subset (subset, tie row indices, strict row indices)."""
     tables = []
     for g in gens:
         terms = g.monomials()
+        index: dict[Row, int] = {}
         entries = []
         for sub in argmin_subsets(len(terms)):
             inside = set(sub)
-            eqs = tuple(
+            eqs = [
                 primitive([a - b for a, b in zip(terms[u], terms[v])])
                 for u, v in zip(sub, sub[1:])
-            )
+            ]
             rep = terms[sub[0]]
-            stricts = tuple(
+            stricts = [
                 tuple(a - b for a, b in zip(rep, terms[t]))
                 for t in range(len(terms))
                 if t not in inside
-            )
-            entries.append((sub, eqs, stricts))
-        tables.append((terms, entries))
+            ]
+            eq_ids = tuple(index.setdefault(r, len(index)) for r in eqs)
+            strict_ids = tuple(index.setdefault(r, len(index)) for r in stricts)
+            entries.append((sub, eq_ids, strict_ids))
+        tables.append((terms, list(index), entries))
     return tables
 
 
@@ -199,72 +202,82 @@ class _Node:
         return _Node({}, {})
 
     def extend(self, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional["_Node"]:
-        """Add constraints; None when infeasibility is already forced."""
+        """Add constraints; None when infeasibility is already forced.
+
+        ``eqs`` and ``new_stricts`` come reduced by ``eliminate`` against
+        this node's pivots, once per node for all its children.  A reduced
+        row is canonical: the primitive positive multiple of row +
+        span(pivots) that vanishes on the pivot columns is unique.  So a row
+        is eliminated again only when it is nonzero on a pivot column this
+        child adds; otherwise it is already the child's reduced row."""
         pivots = dict(self.pivots)
-        added = [add_pivot(pivots, row) is not None for row in eqs]
-        if any(added):  # the old strict rows need reducing against the new pivots
+        added = [c for c in (add_pivot(pivots, row) for row in eqs) if c is not None]
+        if added:  # the old strict rows may need reducing against the new pivots
             stricts: dict[Row, None] = {}
             rows = chain(self.stricts, new_stricts)
         else:
             stricts = dict(self.stricts)
             rows = new_stricts
-        for row in rows:
-            r = eliminate(row, pivots)
+        for r in rows:
+            if any(r[c] for c in added):
+                r = eliminate(r, pivots)
             # r < 0 is impossible when r = 0, or when -r < 0 is required too
             if not any(r) or tuple(-x for x in r) in stricts:
                 return None
             stricts[r] = None
         return _Node(pivots, stricts)
 
-    def feasible_witness(self, dim: int) -> Optional[tuple[Fraction, ...]]:
+    def feasible_witness(self, dim: int) -> Optional[Witness]:
         rows = list(self.stricts)
         if not rows:  # a linear space: the origin is interior, no LP needed
-            return (Fraction(0),) * dim
+            return (0,) * dim, 1
         # cheap interior guess: the negated sum of the strict normals
         free = [c for c in range(dim) if c not in self.pivots]
         guess = [-sum(r[f] for r in rows) for f in free]
         if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
-            return lift_witness([Fraction(g) for g in guess], self.pivots, free, dim)
+            return lift_witness(guess, self.pivots, free, dim)
         return strict_feasibility(self.pivots, rows, dim)
 
 
-def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[Fraction]) -> None:
-    """Exact argmin check of every generator at w, in integers: w scaled by
-    the lcm of its denominators has the same argmins."""
-    wi, _ = _lcm_scale(w)
+def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[int]) -> None:
+    """Exact argmin check of every generator at w.  The argmins are those of
+    any positive multiple of w, so an integer W with w = W/d is checked as it is."""
     for terms, sub in zip(gens_terms, pattern):
-        vals = [sum(k * wi[i] for i, k in enumerate(m) if k) for m in terms]
+        vals = [sum(k * w[i] for i, k in enumerate(m) if k) for m in terms]
         mn = min(vals)
         argmin = tuple(t for t, v in enumerate(vals) if v == mn)
         if argmin != sub:
             raise AssertionError(f"witness does not realize pattern {pattern}")
 
 
-def _enumerate_branch(args) -> list[tuple[Pattern, int, tuple[Fraction, ...]]]:
+def _enumerate_branch(args) -> list[tuple[Pattern, int, Row, int]]:
+    """(pattern, dim, W, d) of every cell below the root (or below one
+    first-level choice), each with its verified witness W/d."""
     tables, dim, first_index = args
-    gens_terms = [terms for terms, _ in tables]
-    root = _Node.root()
-    out: list[tuple[Pattern, int, tuple[Fraction, ...]]] = []
+    gens_terms = [terms for terms, _, _ in tables]
+    out: list[tuple[Pattern, int, Row, int]] = []
 
-    def rec(level: int, node: _Node, pattern: tuple[tuple[int, ...], ...]) -> None:
-        _, entries = tables[level]
+    def rec(level: int, node: _Node, pattern: Pattern) -> None:
+        _, rows, entries = tables[level]
         choices = entries if not (level == 0 and first_index is not None) else [entries[first_index]]
-        for sub, eqs, stricts in choices:
-            child = node.extend(eqs, stricts)
+        # each table row reduced once here, shared by all the children
+        reduced = [eliminate(row, node.pivots) for row in rows]
+        for sub, eq_ids, strict_ids in choices:
+            child = node.extend([reduced[i] for i in eq_ids], [reduced[i] for i in strict_ids])
             if child is None:
                 continue
-            w = child.feasible_witness(dim)
-            if w is None:
+            found = child.feasible_witness(dim)
+            if found is None:
                 continue
             new_pattern = pattern + (sub,)
             if level + 1 == len(tables):
-                dim_cell = dim - len(child.pivots)
+                w, d = found
                 _verify_cell(gens_terms, new_pattern, w)
-                out.append((new_pattern, dim_cell, w))
+                out.append((new_pattern, dim - len(child.pivots), w, d))
             else:
                 rec(level + 1, child, new_pattern)
 
-    rec(0, root, ())
+    rec(0, _Node.root(), ())
     return out
 
 
@@ -289,8 +302,8 @@ def enumerate_cells(
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    tables = _gen_tables(gens, dim)
-    nfirst = len(tables[0][1])
+    tables = _gen_tables(gens)
+    nfirst = len(tables[0][2])
     if jobs > 1 and total > 4 * nfirst:
         import multiprocessing  # imported only when a pool starts: it costs memory
 
@@ -303,9 +316,12 @@ def enumerate_cells(
 
     raw.sort(key=lambda c: c[0])
     # a cell's rows are its generators' table rows, shared between cells
-    systems = [{sub: (eqs, stricts) for sub, eqs, stricts in entries} for _, entries in tables]
+    systems = [
+        {sub: (tuple(rows[i] for i in eq_ids), tuple(rows[i] for i in strict_ids)) for sub, eq_ids, strict_ids in entries}
+        for _, rows, entries in tables
+    ]
     cells = []
-    for pattern, dim_cell, w in raw:
+    for pattern, dim_cell, w, d in raw:
         parts = [level[sub] for level, sub in zip(systems, pattern)]
         cells.append(
             Cell(
@@ -313,7 +329,7 @@ def enumerate_cells(
                 equalities=tuple(row for eqs, _ in parts for row in eqs),
                 inequalities=tuple(row for _, stricts in parts for row in stricts),
                 dim=dim_cell,
-                witness=w,
+                witness=tuple(Fraction(x, d) for x in w),
             )
         )
     return cells

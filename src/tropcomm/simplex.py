@@ -11,14 +11,21 @@ on the degenerate start.
 
 All pivoting is on integer rows.  Elimination clears a column by
 cross-multiplying and divides each new row by the gcd of its entries; the
-simplex tableau does the same (Edmonds 1967; Bareiss 1968), so no
-``Fraction`` is built until the optimal vertex is read off.
+simplex tableau does the same (Edmonds 1967; Bareiss 1968).  The free z is
+split as z+ - z-, but column z-_j starts as the negated column z+_j and
+every row operation is linear, so it stays that: the tableau stores only
+z+, t, the slacks and the rhs, and Bland's rule and the ratio test read
+z-_j as -z+_j.
+
+No ``Fraction`` is built: a witness w is returned as integers W with a
+positive denominator d, w = W/d.  The system is homogeneous, so W itself is
+a witness too (a positive multiple of one).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 __all__ = [
@@ -32,6 +39,7 @@ __all__ = [
 ]
 
 Row = tuple[int, ...]
+Witness = tuple[Row, int]  # (W, d): the rational point W/d, d > 0
 
 
 class UnboundedNormalizationError(RuntimeError):
@@ -77,71 +85,84 @@ def add_pivot(pivots: dict[int, Row], row: Sequence[int]) -> Optional[int]:
     return c
 
 
-def null_space_basis(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {w : rows . w = 0}, one vector per free column."""
+def null_space_basis(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
+    """Exact integer basis of {w : rows . w = 0}, one vector per free column."""
     pivots: dict[int, Row] = {}
     for row in rows:
         add_pivot(pivots, row)
     free = [c for c in range(dim) if c not in pivots]
-    return [lift_witness([Fraction(int(f == g)) for g in free], pivots, free, dim) for f in free]
+    return [lift_witness([int(f == g) for g in free], pivots, free, dim)[0] for f in free]
 
 
-def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[Fraction, list[Fraction]]:
+def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[int, list[int], int]:
     """max t s.t. row.z + t <= 0 for each row, t <= 1, z free; Bland's rule.
+
+    Returns the optimal vertex as integers (T, Z) over one positive common
+    denominator: t = T/den, z = Z/den.
 
     Fraction-free: row i of the tableau is a positive multiple of its
     normalised form, with its basic variable's coefficient in place of the
     leading 1.  Every update scales by the positive pivot and divides by the
     row's gcd, so signs, ratios and the Bland path are those of the
-    normalised rational tableau."""
+    normalised rational tableau.  Variables are numbered in Bland's order
+    z+ (0..d-1), z- (d..2d-1), t (2d), slacks; the stored columns are z+,
+    t, slacks and rhs, and z-_j is read as the negated z+_j column (the
+    gcd of a row is the same with or without the negated copy)."""
     m = len(strict_rows)
-    nvars = 2 * d + 1  # z+, z-, t
+    nrows = m + 1
     tab: list[list[int]] = []
     for i, row in enumerate(strict_rows):
-        r = list(row) + [-x for x in row] + [1]
-        r += [1 if j == i else 0 for j in range(m + 1)]
-        r.append(0)
-        tab.append(r)
-    tab.append([0] * (2 * d) + [1] + [1 if j == m else 0 for j in range(m + 1)] + [1])
-    nrows = m + 1
-    basis = [nvars + i for i in range(nrows)]
-    cost = [0] * (nvars + nrows + 1)
-    cost[2 * d] = -1  # maximize t
+        tab.append(list(row) + [1] + [1 if j == i else 0 for j in range(nrows)] + [0])
+    tab.append([0] * d + [1] + [1 if j == m else 0 for j in range(nrows)] + [1])
+    basis = [2 * d + 1 + i for i in range(nrows)]
+    cost = [0] * (d + nrows + 2)
+    cost[d] = -1  # maximize t
 
     while True:
-        enter = next((j for j in range(nvars + nrows) if cost[j] < 0), -1)
+        reduced_costs = chain(cost[:d], (-c for c in cost[:d]), cost[d:-1])
+        enter = next((j for j, c in enumerate(reduced_costs) if c < 0), -1)
         if enter < 0:
             break
+        col, sign = _stored(enter, d)
         leave = -1
         for i in range(nrows):
-            a = tab[i][enter]
+            a = sign * tab[i][col]
             if a > 0:
                 if leave < 0:
-                    leave = i
+                    leave, a_leave = i, a
                     continue
                 # rhs_i / a < rhs_leave / a_leave, with both denominators > 0
-                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                lhs, rhs = tab[i][-1] * a_leave, tab[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+                    leave, a_leave = i, a
         if leave < 0:
             raise UnboundedNormalizationError("t <= 1 should bound the program")
         prow = tab[leave]
-        piv = prow[enter]
         for i in range(nrows):
-            f = tab[i][enter]
+            f = sign * tab[i][col]
             if i != leave and f:
-                tab[i] = _fraction_free(tab[i], prow, piv, f)
-        f = cost[enter]
+                tab[i] = _fraction_free(tab[i], prow, a_leave, f)
+        f = sign * cost[col]
         if f:
-            cost = _fraction_free(cost, prow, piv, f)
+            cost = _fraction_free(cost, prow, a_leave, f)
         basis[leave] = enter
 
-    x = [Fraction(0)] * (nvars + nrows)
-    for i, b in enumerate(basis):
-        x[b] = Fraction(tab[i][-1], tab[i][b])
-    t = x[2 * d]
-    z = [x[j] - x[d + j] for j in range(d)]
-    return t, z
+    # each basic z+, z- and t is rhs / coefficient, with coefficient > 0
+    vertex = []
+    for b, row in zip(basis, tab):
+        if b <= 2 * d:
+            col, sign = _stored(b, d)
+            vertex.append((b, row[-1], sign * row[col]))
+    den = lcm(*(coef for _, _, coef in vertex))
+    x = [0] * (2 * d + 1)
+    for b, rhs, coef in vertex:
+        x[b] = rhs * (den // coef)
+    return x[2 * d], [x[j] - x[d + j] for j in range(d)], den
+
+
+def _stored(j: int, d: int) -> tuple[int, int]:
+    """The stored column of variable j (Bland's numbering) and its sign."""
+    return (j, 1) if j < d else (j - d, -1 if j < 2 * d else 1)
 
 
 def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[int]:
@@ -151,38 +172,37 @@ def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[in
     return [a // g for a in r] if g > 1 else r
 
 
-def strict_feasibility(
-    pivots: dict[int, Row], stricts: Sequence[Row], dim: int
-) -> Optional[tuple[Fraction, ...]]:
-    """A rational w with E w = 0 and S w < 0, or None when there is none.
+def strict_feasibility(pivots: dict[int, Row], stricts: Sequence[Row], dim: int) -> Optional[Witness]:
+    """A point w with E w = 0 and S w < 0 as (W, d), w = W/d, or None when
+    there is none.
 
     ``pivots`` holds E reduced as ``add_pivot`` builds it; ``stricts`` are
     the rows of S, each nonzero and already reduced by ``eliminate`` against
-    ``pivots``, so the LP reads them on the free columns only."""
+    ``pivots``, so the LP reads them on the free columns only.  d is the
+    lcm of the pivot leads times the LP vertex's denominator; W alone, a
+    positive multiple of w, is a witness too."""
     if not stricts:
-        return (Fraction(0),) * dim
+        return (0,) * dim, 1
     free = [c for c in range(dim) if c not in pivots]
     if not free:
         return None
-    t, z = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
+    t, z, den = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
     if t <= 0:
         return None
-    return lift_witness(z, pivots, free, dim)
+    w, lead = lift_witness(z, pivots, free, dim)
+    return w, lead * den
 
 
-def lift_witness(
-    z: Sequence[Fraction], pivots: dict[int, Row], free: Sequence[int], dim: int
-) -> tuple[Fraction, ...]:
-    """The solution of the pivot rows with free coordinates ``z``: each
-    pivot row p_c has only its own pivot column among the pivots, so
-    w[c] = -sum(p_c[f] z_f) / p_c[c] (back-substitution)."""
-    w = [Fraction(0)] * dim
+def lift_witness(z: Sequence[int], pivots: dict[int, Row], free: Sequence[int], dim: int) -> Witness:
+    """The solution of the pivot rows with integer free coordinates ``z``,
+    as (W, d) with d the lcm of the pivot leads: each pivot row p_c has
+    only its own pivot column among the pivots, so
+    W[c] = -sum(p_c[f] z_f) * (d / p_c[c]) and W[f] = z_f * d
+    (back-substitution in integers)."""
+    d = lcm(*(p[c] for c, p in pivots.items()))
+    w = [0] * dim
     for f, zf in zip(free, z):
-        w[f] = zf
+        w[f] = zf * d
     for c, p in pivots.items():
-        acc = Fraction(0)
-        for f, zf in zip(free, z):
-            if p[f]:
-                acc += Fraction(p[f]) * zf
-        w[c] = -acc / p[c]
-    return tuple(w)
+        w[c] = -sum(p[f] * zf for f, zf in zip(free, z) if zf) * (d // p[c])
+    return tuple(w), d

@@ -12,7 +12,7 @@ from tropcomm.fan import _Node
 from tropcomm.polynomials import Monomial
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
-from tropcomm.simplex import strict_feasibility
+from tropcomm.simplex import eliminate, strict_feasibility
 
 
 def M(rows) -> TropMatrix:
@@ -339,8 +339,8 @@ def random_prevariety_2x2_pair(rng: random.Random) -> tuple[TropMatrix, TropMatr
 def raw_strict_feasibility(eqs, stricts, dim: int):
     """``strict_feasibility`` on an unreduced system {eqs . w = 0, stricts . w < 0}:
     reduced as the fan enumerator reduces a prefix (None when the reduction
-    already forces infeasibility)."""
-    node = _Node.root().extend(eqs, stricts)
+    already forces infeasibility).  Returns the witness w = W/d as (W, d)."""
+    node = _Node.root().extend(eqs, [eliminate(row, {}) for row in stricts])
     if node is None:
         return None
     return strict_feasibility(node.pivots, list(node.stricts), dim)

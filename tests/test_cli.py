@@ -171,6 +171,20 @@ def test_sample_exhaustion(capsys):
     assert "no tpre-minus-ts pair in 3 draws" in err
 
 
+@pytest.mark.parametrize("option, value", [("--max-draws", "-5"), ("--max-draws", "0"), ("--range", "-1")])
+def test_sample_rejects_options_out_of_range(capsys, option, value):
+    code, out, err = run(capsys, "sample", "--region", "ts-minus-tpre", option, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and option in err and value in err
+
+
+def test_sample_accepts_the_smallest_options(capsys):
+    # one draw with entries in 0..0: the zero pair is in TS and in Tpre
+    code, out, err = run(capsys, "sample", "--region", "ts-minus-tpre", "--max-draws", "1", "--range", "0")
+    assert code == 5 and out == ""
+    assert "no ts-minus-tpre pair in 1 draws" in err
+
+
 def test_star_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_to_json(S31_A)))
@@ -359,6 +373,17 @@ def test_entry_exponent_at_the_limit_is_read(tmp_path, capsys):
     code, out, _ = run(capsys, "star", str(path))
     assert code == 0
     assert json.loads(out)["entries"][0][1] == "1" + "0" * 4299
+
+
+def test_star_refuses_a_computed_entry_too_long_to_print(tmp_path, capsys):
+    """Entries within the bound can give a star entry beyond Python's
+    int-string limit: 1/21 - 10^-4299 has a 4,301-digit denominator."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "entries": [["0", "1/21", "5"], ["5", "0", "-1e-4299"], ["5", "5", "0"]]}))
+    code, out, err = run(capsys, "star", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "computed entry has more than 4,300 digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_json_numbers_are_read_exactly(tmp_path, capsys):

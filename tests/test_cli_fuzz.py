@@ -3,7 +3,8 @@
 Valid ``check``, ``lift``, ``lift-verify``, ``certify``, ``fan``, ``star``
 and ``svg`` inputs are mutated: wrong sizes, non-square grids, bad entry and
 series strings, entries too large for a float, wrong JSON types, missing
-keys and truncated JSON text.  Every mutant must end in an exit code the
+keys and truncated JSON text.  ``sample`` takes no input file, so its
+options are mutated instead.  Every mutant must end in an exit code the
 README documents for its command ("Exit codes"), with an ``error:`` line on
 failure and never a traceback.
 """
@@ -12,16 +13,18 @@ import copy
 import json
 import os
 import random
+from itertools import chain
 
 import pytest
 
-from tropcomm.cli import main
+from tropcomm.cli import REGIONS, main
 
 from helpers import LIFT_X, LIFT_Y, P7A_A, P7B_C, P7B_D, TC2_A, TC2_B
 from tropcomm.core import matrix_to_json, pair_to_json
 
 # README "Exit codes": 0 ok, 1 negative cycle (star) or lift not verified
-# (lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded
+# (lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded,
+# 5 sampling exhausted
 DOCUMENTED = {
     "check": {0, 2, 3},
     "lift": {0, 2, 3},
@@ -30,6 +33,7 @@ DOCUMENTED = {
     "fan": {0, 2, 3, 4},
     "star": {0, 1, 2, 3},
     "svg": {0, 2, 3},
+    "sample": {0, 2, 3, 5},
 }
 
 BAD_VALUES = [None, True, 3, -1, 2.5, "x", "", [], {}, [[1]], [["0"]], {"n": 2}]
@@ -198,4 +202,51 @@ def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys, command, fl
             bad.append(f"{trial} {label}: verified a lift of sizes {_sizes(mutant)}")
         elif code not in (0, 1) and not err.startswith("error:"):
             bad.append(f"{trial} {label}: exit {code} without an error line: {err!r}")
+    assert not bad, "\n".join(bad)
+
+
+# option values for sample; draws stay few, so every run is cheap
+SAMPLE_OPTIONS = {
+    "--max-draws": ["-5", "0", "1", "2", "x", "1.5", ""],
+    "--range": ["-1", "0", "1", "4", "-0", "x"],
+    "--n": ["3", "2", "4", "0", "x"],
+    "--seed": ["0", "-3", "x"],
+    "--region": ["ts-minus-tpre", "tpre-minus-ts", "certified-out", "bogus"],
+}
+
+
+def _refused(options: dict[str, str]) -> bool:
+    """Options sample must refuse as a parse error (exit 2): a value that is
+    not an integer, a region outside its table, fewer than one draw or a
+    negative range."""
+    try:
+        values = {key: int(value) for key, value in options.items() if key != "--region"}
+    except ValueError:
+        return True
+    return options["--region"] not in REGIONS or values["--max-draws"] < 1 or values.get("--range", 0) < 0
+
+
+def test_mutated_sample_options_exit_with_documented_codes(capsys):
+    rng = random.Random("sample")
+    bad = []
+    for trial in range(80):
+        options = {"--region": "ts-minus-tpre", "--max-draws": "1"}
+        for key in rng.sample(sorted(SAMPLE_OPTIONS), rng.randint(1, 3)):
+            options[key] = rng.choice(SAMPLE_OPTIONS[key])
+        argv = ["sample", *chain.from_iterable(options.items())]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: "usage: ..." then "PROG sample: error: ..."
+            code = exc.code
+        except Exception as exc:  # a traceback at the command line
+            bad.append(f"{trial} {argv}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        error_line = any(line.startswith("error:") or " sample: error: " in line for line in err.splitlines())
+        if code not in DOCUMENTED["sample"] or "Traceback" in err:
+            bad.append(f"{trial} {argv}: exit {code}, stderr {err!r}")
+        elif (code == 2) != _refused(options):
+            bad.append(f"{trial} {argv}: exit {code}, stderr {err!r}")
+        elif code != 0 and not error_line:
+            bad.append(f"{trial} {argv}: exit {code} without an error line: {err!r}")
     assert not bad, "\n".join(bad)

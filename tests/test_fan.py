@@ -1,5 +1,6 @@
 """Prevariety complex enumeration: cells, f-vectors, lineality, feasibility."""
 
+import hashlib
 import multiprocessing
 import random
 from fractions import Fraction
@@ -214,8 +215,10 @@ def test_argmin_subsets_order():
 
 
 def test_strict_feasibility_api():
-    w = raw_strict_feasibility(((1, -1, 0),), ((0, 1, -1),), 3)
-    assert w is not None
+    found = raw_strict_feasibility(((1, -1, 0),), ((0, 1, -1),), 3)
+    assert found is not None
+    w, d = found
+    assert d > 0
     assert w[0] == w[1] and w[1] < w[2]
 
     assert raw_strict_feasibility(((1, -1, 0),), ((1, -1, 0),), 3) is None
@@ -231,37 +234,77 @@ def test_strict_feasibility_accepts_cells():
     """The LP finds an exact interior point of every enumerated cell."""
     for gens, dim in _fan_systems():
         for c in enumerate_cells(gens, dim):
-            w = raw_strict_feasibility(c.equalities, c.inequalities, dim)
-            assert w is not None
+            found = raw_strict_feasibility(c.equalities, c.inequalities, dim)
+            assert found is not None
+            w, d = found
+            assert d > 0
             eqs, stricts = cell_system(gens, c.pattern)
             assert all(sum(a * x for a, x in zip(row, w)) == 0 for row in eqs)
             assert all(sum(a * x for a, x in zip(row, w)) < 0 for row in stricts)
 
 
 def test_prefix_systems_are_already_reduced(monkeypatch):
-    """What ``strict_feasibility`` relies on: at every prefix node, adding
-    the pivot rows again rebuilds the same pivots, and each stored strict
-    row is unchanged by elimination against them."""
-    nodes = []
+    """What ``strict_feasibility`` and ``_Node.extend`` rely on: at every
+    prefix node, adding the pivot rows again rebuilds the same pivots, and
+    each stored strict row is unchanged by elimination against them.  The
+    rows reduced once per node and shared by its children, and eliminated
+    again only where a child adds a pivot, are the raw table rows reduced
+    against the child's pivots: the same pivots and strict rows, in the
+    same order, as adding and eliminating the raw rows from scratch."""
     real = fan._Node.extend
-
-    def record(self, eqs, stricts):
-        child = real(self, eqs, stricts)
-        if child is not None:
-            nodes.append(child)
-        return child
-
-    monkeypatch.setattr(fan._Node, "extend", record)
+    nodes = []
     for gens, dim in _fan_systems():
+        tables = fan._gen_tables(gens)
+        raw: dict = {}  # id(node) -> (depth, raw tie rows, raw strict rows)
+        calls: dict = {}  # id(node) -> extend calls so far: the choice index
+
+        def record(self, eqs, stricts):
+            depth, raw_eqs, raw_stricts = raw.setdefault(id(self), (0, (), ()))
+            _, rows, entries = tables[depth]
+            k = calls.get(id(self), 0)
+            calls[id(self)] = k + 1
+            _, eq_ids, strict_ids = entries[k]
+            child = real(self, eqs, stricts)
+            if child is not None:
+                raw_eqs += tuple(rows[i] for i in eq_ids)
+                raw_stricts += tuple(rows[i] for i in strict_ids)
+                raw[id(child)] = (depth + 1, raw_eqs, raw_stricts)
+                nodes.append((child, raw_eqs, raw_stricts))
+            return child
+
+        monkeypatch.setattr(fan._Node, "extend", record)
         enumerate_cells(gens, dim)
-    monkeypatch.undo()
+        monkeypatch.undo()
     assert len(nodes) > 2000
-    for node in nodes:
+    for node, raw_eqs, raw_stricts in nodes:
         rebuilt: dict = {}
         for row in node.pivots.values():
             add_pivot(rebuilt, row)
         assert rebuilt == node.pivots
         assert all(eliminate(row, node.pivots) == row for row in node.stricts)
+        from_raw: dict = {}
+        for row in raw_eqs:
+            add_pivot(from_raw, row)
+        assert list(from_raw.items()) == list(node.pivots.items())
+        assert list(node.stricts) == list(dict.fromkeys(eliminate(row, node.pivots) for row in raw_stricts))
+
+
+# per system of _fan_systems(), the sha256 of repr([(c.pattern, c.dim,
+# c.witness) for c in cells]) as the enumerator reported them with a
+# Fraction witness path and stored z- columns: any change to the Bland
+# path or to the witness arithmetic shows here
+CELL_DIGESTS = (
+    "f29a65bebda05e67c6fdebe5951d4973f6dd2b075b87610343ed939ecd793a05",
+    "afba007f451d9437d91dfedcf48f47a4c11b6a5c28a45b7ccecf22c127036447",
+)
+
+
+@pytest.mark.parametrize("system, digest", zip(_fan_systems(), CELL_DIGESTS), ids=["commuting:n=2", "g23,g13"])
+def test_cells_and_witnesses_are_pinned(system, digest):
+    gens, dim = system
+    cells = enumerate_cells(gens, dim)
+    text = repr([(c.pattern, c.dim, c.witness) for c in cells])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cells_share_the_rows_of_cell_system():

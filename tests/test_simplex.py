@@ -21,11 +21,14 @@ def random_system(rng: random.Random) -> tuple[list[tuple[int, ...]], int]:
 
 
 def assert_same_vertex(rows, d) -> Fraction:
-    """Both tableaux give the same optimal (t, z); returns t."""
-    t, z = simplex._simplex_max_t(rows, d)
+    """Both tableaux give the same optimal (t, z); returns t.  The integer
+    tableau stores no z- columns and returns integers over one positive
+    denominator; the oracle stores them and returns Fractions."""
+    t_num, z_num, den = simplex._simplex_max_t(rows, d)
+    assert all(type(x) is int for x in [t_num, *z_num, den]) and den > 0
+    t, z = Fraction(t_num, den), [Fraction(x, den) for x in z_num]
     t_ref, z_ref = fraction_simplex_max_t(rows, d)
     assert (t, z) == (t_ref, z_ref)
-    assert all(type(x) is Fraction for x in [t, *z])
     return t
 
 
