@@ -51,7 +51,6 @@ from .commuting import (
     commutator_entry,
     generators,
     homogeneity_dimension,
-    homogeneity_membership,
     in_tc2,
     in_tpre,
     in_ts,

@@ -3,7 +3,7 @@
 The commutator ideal in the 2n^2 variables {x_ij, y_ij} is generated by the
 entries of XY - YX.  This module evaluates its generators tropically (is the
 minimum attained twice?), decides membership in the tropical commuting set
-and prevariety, tests the homogeneity space, and searches for non-membership
+and prevariety, counts the homogeneity space, and searches for non-membership
 certificates for the n=3 tropical commuting variety: polynomials of the
 ideal whose minimum at a given weight is attained by a unique term.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "in_ts",
     "in_tpre",
     "in_tc2",
-    "homogeneity_membership",
     "homogeneity_dimension",
     "group_elements",
     "variable_permutation",
@@ -98,8 +97,12 @@ def generators(n: int) -> tuple[SparsePoly, ...]:
     return tuple(g for _, g in labeled_generators(n))
 
 
+def _exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
+    return tuple((i, k) for i, k in enumerate(m) if k)
+
+
 def _support(f: SparsePoly) -> Support:
-    return tuple(tuple((i, k) for i, k in enumerate(m) if k) for m, _ in f.terms)
+    return tuple(_exponents(m) for m, _ in f.terms)
 
 
 @cache
@@ -246,52 +249,6 @@ def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
 # homogeneity space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneityResult:
-    member: bool
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
-    c: Optional[tuple[Fraction, ...]] = None
-
-
-def homogeneity_membership(w: WeightVector, n: int) -> HomogeneityResult:
-    """Does every generator have all term weights equal at w?
-
-    For n >= 3 the space is cut out by: all x-diagonal weights equal (= a),
-    all y-diagonal weights equal (= b), w[y_ij] = w[x_ij] - a + b, and
-    w[x_ij] = c_i - c_j + a for some c (normalized c_1 = 0).  For n = 2 the
-    same pattern without the c-relation (x12, x21 stay free).
-    """
-    if n < 2 or len(w) != 2 * n * n:
-        raise ValueError("weight length must be 2*n*n")
-
-    def x(i: int, j: int) -> Fraction:
-        return w[(i - 1) * n + (j - 1)]
-
-    def y(i: int, j: int) -> Fraction:
-        return w[n * n + (i - 1) * n + (j - 1)]
-
-    a = x(1, 1)
-    b = y(1, 1)
-    if any(x(i, i) != a or y(i, i) != b for i in range(2, n + 1)):
-        return HomogeneityResult(False)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and y(i, j) != x(i, j) - a + b:
-                return HomogeneityResult(False)
-    if n == 2:
-        return HomogeneityResult(True, a=a, b=b, c=(x(1, 2), x(2, 1)))
-    # c_i - c_j = x(i,j) - a with c_1 = 0
-    c = [Fraction(0)] * (n + 1)
-    for i in range(2, n + 1):
-        c[i] = x(i, 1) - a
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and x(i, j) != c[i] - c[j] + a:
-                return HomogeneityResult(False)
-    return HomogeneityResult(True, a=a, b=b, c=tuple(c[1:]))
-
-
 def tie_rows(gens: Sequence[SparsePoly]) -> list[tuple[int, ...]]:
     """Difference vectors u - v for consecutive terms of each generator."""
     rows = []
@@ -428,6 +385,73 @@ class NonMembershipCertificate:
         return monomial_str(self.unique_min_monomial, matrix_variables(n))
 
 
+def _code(m: Monomial, base: int) -> int:
+    """The exponents of m as the digits of one int in base ``base``."""
+    code = 0
+    for e in m:
+        code = code * base + e
+    return code
+
+
+@cache
+def _slice_data(n: int, degree: int) -> tuple[tuple, tuple]:
+    """The weight-independent data of the degree-d slice search, built once
+    per (n, d): each degree d-2 monomial as (monomial, support, code), and
+    each generator's terms as (support, code, coefficient); codes in base
+    d + 1."""
+    base = degree + 1
+    names = matrix_variables(n)
+    extras = []
+    for c in combinations_with_replacement(names, degree - 2):
+        m = monomial(names, *c)
+        extras.append((m, _exponents(m), _code(m, base)))
+    gens = tuple(
+        tuple((sup, _code(m, base), c) for sup, (m, c) in zip(_support(g), g.terms))
+        for g in generators(n)
+    )
+    return tuple(extras), gens
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int,
+               prov: Optional[dict] = None, pprov: Optional[dict] = None) -> None:
+    """row := mul*row - sub*prow in place, with the least mul, sub that
+    clear column c, and prov the same way.  Then the content is divided
+    out: of row and prov together after every step when ``prov`` is given,
+    else of the row only after a step with mul != 1."""
+    g = gcd(row[c], prow[c])
+    mul, sub = prow[c] // g, row[c] // g
+    parts = ((row, prow),) if prov is None else ((row, prow), (prov, pprov))
+    for r, pr in parts:
+        if mul != 1:
+            for k in r:
+                r[k] *= mul
+        for k, x in pr.items():
+            nx = r.get(k, 0) - sub * x
+            if nx:
+                r[k] = nx
+            else:
+                del r[k]
+    if prov is not None or mul != 1:
+        g = gcd(*row.values(), *(prov or {}).values())
+        if g > 1:
+            for r, _ in parts:
+                for k in r:
+                    r[k] //= g
+
+
+def _reduce(row: dict[int, int], pivots: dict, stop: float, prov: Optional[dict] = None) -> Optional[int]:
+    """Eliminate the lowest column of row while it is below stop and has a
+    pivot; return the lowest remaining column (None: the row is zero).
+    ``pivots`` maps a lead to (row, provenance), the provenance None when
+    ``prov`` is."""
+    while row:
+        c = min(row)
+        if c >= stop or c not in pivots:
+            return c
+        _eliminate(row, pivots[c][0], c, prov, pivots[c][1])
+    return None
+
+
 def find_monomial_initial_form(
     a: TropMatrix, b: TropMatrix, *, degree: int = 4
 ) -> Optional[NonMembershipCertificate]:
@@ -439,23 +463,35 @@ def find_monomial_initial_form(
     of some f in I_d iff the unit vector of m lies in the span of the
     value<=v parts of those products.
 
-    One fraction-free integer elimination decides this for every value.
     Columns are ordered by (value, monomial) and a row pivots on its lowest
-    column, so reduction only raises a row's lowest column and a pivot never
-    changes once stored.  Products go in in order of their lowest column.
+    column, so reduction only raises a row's lowest column and a pivot's
+    lead never changes.  Products go in in order of their lowest column.
     Once all products whose lowest value is <= v are in, the pivots with a
-    lead of value <= v are final and their value<=v parts span the value<=v
-    part of I_d.  Only a pivot lead can be a unique minimal term, so each
-    lead of value v is then tested, lowest column first, by reducing its
-    unit vector until the lowest remaining column exceeds v.  The integer
-    provenance of a hit is the certificate's combination of products, which
-    must pass the exact unique-argmin check of :func:`evaluate_tropically`.
+    lead of value v are final, and their value-v parts (initial forms) span
+    the value-v part of in_w(I)_d: a basis with distinct leads under an
+    order that refines w has initial forms that span the initial ideal
+    (Maclagan-Sturmfels 2015, section 2.4).  Only a lead can be a unique
+    minimal term.
+
+    Pass 1 decides, in one fraction-free integer elimination without
+    provenance.  When a value closes, its pivots are brought to reduced
+    echelon form inside that value, from the highest lead down, and stored
+    back.  That form is unique and a unit vector lies in the span iff it is
+    one of its rows, so a lead is an initial form iff no other column of
+    its value is left in its row.  Pass 2 runs only on such a hit, lowest
+    first: it inserts again the products of lowest value <= v, carrying
+    each row's integer provenance, and reduces the hit's unit vector until
+    only columns above v are left.  The provenance is the certificate's
+    combination of products, which must pass the exact unique-argmin check
+    of :func:`evaluate_tropically`.
 
     At the default degree 4 the search is complete: None proves that no
     monomial of degree <= 4 lies in in_w(I) (one of lower degree times a
     variable would be found).  It does not prove membership in the tropical
-    variety.
+    variety.  A degree below 2 raises ValueError.
     """
+    if degree < 2:
+        raise ValueError("degree must be >= 2")
     w = weight_of_pair(a, b)
     iw, _ = _lcm_scale(w)
     base = degree + 1  # no exponent of a degree-d monomial exceeds d
@@ -464,82 +500,79 @@ def find_monomial_initial_form(
     def key(m: Monomial) -> int:
         # the column (value, monomial) as one int in the same order; keys
         # add up under multiplication, as long as the degree stays <= d
-        code = 0
-        for e in m:
-            code = code * base + e
-        return sum(k * x for k, x in zip(m, iw)) * level + code
+        return sum(k * x for k, x in zip(m, iw)) * level + _code(m, base)
+
+    # the same keys from the cached supports and codes
+    extras, gcodes = _slice_data(a.n, degree)
+    gterms = [[(sum(iw[i] * k for i, k in sup) * level + code, c) for sup, code, c in g] for g in gcodes]
+    glow = [min(k for k, _ in t) for t in gterms]
+    # the products (degree d-2 monomial m) x generator gi, by lowest column
+    ekeys = [(sum(iw[i] * k for i, k in sup) * level + code, m) for m, sup, code in extras]
+    products = sorted((ek + low, m, gi) for ek, m in ekeys for gi, low in enumerate(glow))
+
+    def row_of(low: int, gi: int) -> dict[int, int]:
+        return {k + low - glow[gi]: c for k, c in gterms[gi]}
+
+    def hits():
+        # pass 1: the leads that are initial forms, lowest first
+        pivots: dict[int, tuple[dict[int, int], None]] = {}
+        untested: list[int] = []  # heap of pivot leads
+
+        def close(below: float):
+            # bring the values of the untested leads below ``below`` to
+            # reduced echelon form, one value at a time
+            while untested and untested[0] < below:
+                v = untested[0] // level
+                leads = []
+                while untested and untested[0] // level == v:
+                    leads.append(heappop(untested))
+                top, inside = (v + 1) * level, set(leads)
+                found = []
+                for lead in reversed(leads):
+                    row = pivots[lead][0]
+                    for c in [k for k in row if k in inside and k != lead]:
+                        _eliminate(row, pivots[c][0], c)
+                    if all(k == lead or k >= top for k in row):
+                        found.append(lead)
+                yield from reversed(found)
+
+        for low, _, gi in products:
+            # every value below this product's lowest one is closed
+            if untested and untested[0] < low // level * level:
+                yield from close(low // level * level)
+            row = row_of(low, gi)
+            lead = _reduce(row, pivots, inf)
+            if lead is not None:
+                pivots[lead] = (row, None)
+                heappush(untested, lead)
+        yield from close(inf)
 
     gens = generators(a.n)
-    gterms = [[(key(m), c) for m, c in g.terms] for g in gens]
-    glow = [min(k for k, _ in t) for t in gterms]
-    names = matrix_variables(a.n)
-    extras = [monomial(names, *c) for c in combinations_with_replacement(names, degree - 2)]
-    # the products (degree d-2 monomial m) x gens[gi], by lowest column
-    products = sorted((key(m) + glow[gi], m, gi) for m in extras for gi in range(len(gens)))
-
-    pivots: dict[int, tuple[dict[int, int], dict[tuple[Monomial, int], int]]] = {}
-    untested: list[int] = []  # heap of pivot leads
-
-    def reduce(row: dict[int, int], prov: dict, stop: float) -> Optional[int]:
-        # eliminate the lowest column while it is below stop and has a
-        # pivot; return the lowest remaining column (None: the row is zero)
-        while row:
-            c = min(row)
-            if c >= stop or c not in pivots:
-                return c
-            prow, pprov = pivots[c]
-            g = gcd(row[c], prow[c])
-            mul, sub = prow[c] // g, row[c] // g
-            for r, pr in ((row, prow), (prov, pprov)):
-                if mul != 1:
-                    for k in r:
-                        r[k] *= mul
-                for k, x in pr.items():
-                    nx = r.get(k, 0) - sub * x
-                    if nx:
-                        r[k] = nx
-                    else:
-                        del r[k]
-            g = gcd(*row.values(), *prov.values())
-            if g > 1:
-                for r in (row, prov):
-                    for k in r:
-                        r[k] //= g
-        return None
-
-    def close(below: float) -> Optional[NonMembershipCertificate]:
-        # test the untested pivot leads below ``below``; they are final
-        while untested and untested[0] < below:
-            target = heappop(untested)
-            stop = (target // level + 1) * level
-            prov: dict[tuple[Monomial, int], int] = {}
-            rest = reduce({target: 1}, prov, stop)
-            if rest is not None and rest < stop:
-                continue
-            f = SparsePoly.from_terms(t for (m, gi), k in prov.items() for t in gens[gi].mul_monomial(m, k))
-            ev = evaluate_tropically(f, w)
-            if len(ev.argmin) == 1 and key(ev.argmin[0]) == target and ev.runner_up is not None:
-                return NonMembershipCertificate(
-                    source=f"slice[deg={degree}]",
-                    polynomial=f,
-                    unique_min_monomial=ev.argmin[0],
-                    min_value=ev.min_value,
-                    runner_up_value=ev.runner_up,
-                )
-        return None
-
-    for low, m, gi in products:
-        # every value below this product's lowest one is closed
-        cert = close(low // level * level)
-        if cert is not None:
-            return cert
-        row = {k + low - glow[gi]: c for k, c in gterms[gi]}
-        prov = {(m, gi): 1}
-        lead = reduce(row, prov, inf)
-        if lead is not None:
-            pivots[lead] = (row, prov)
-            heappush(untested, lead)
-    return close(inf)
+    for target in hits():
+        # pass 2: the provenance of the hit, exactly as one elimination
+        # with provenance would find it when the hit's value closes
+        stop = (target // level + 1) * level
+        pivots: dict[int, tuple[dict[int, int], dict[tuple[Monomial, int], int]]] = {}
+        for low, m, gi in products:
+            if low >= stop:
+                break
+            row, prov = row_of(low, gi), {(m, gi): 1}
+            lead = _reduce(row, pivots, inf, prov)
+            if lead is not None:
+                pivots[lead] = (row, prov)
+        prov = {}
+        _reduce({target: 1}, pivots, stop, prov)
+        f = SparsePoly.from_terms(t for (m, gi), k in prov.items() for t in gens[gi].mul_monomial(m, k))
+        ev = evaluate_tropically(f, w)
+        if len(ev.argmin) == 1 and ev.runner_up is not None and key(ev.argmin[0]) == target:
+            return NonMembershipCertificate(
+                source=f"slice[deg={degree}]",
+                polynomial=f,
+                unique_min_monomial=ev.argmin[0],
+                min_value=ev.min_value,
+                runner_up_value=ev.runner_up,
+            )
+    return None
 
 
 def certify_not_in_tc3(

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
 from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
 from tropcomm.fan import _Node
-from tropcomm.polynomials import Monomial
+from tropcomm.polynomials import Monomial, SparsePoly
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
 from tropcomm.simplex import eliminate, strict_feasibility
@@ -207,6 +208,81 @@ def fraction_verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: Tro
     return LiftCheck(ok=not fails, failures=tuple(fails))
 
 
+def _insert(pivots: dict, row: dict) -> bool:
+    """Fraction elimination of ``row`` (column -> value) against ``pivots``,
+    pivoting on the largest column; store what is left as a new pivot.
+    Returns whether the row raised the rank (did not reduce to zero)."""
+    while row:
+        col = max(row)
+        piv = pivots.get(col)
+        if piv is None:
+            lead = row[col]
+            pivots[col] = {k: x / lead for k, x in row.items()}
+            return True
+        f = row[col]
+        for k, x in piv.items():
+            nx = row.get(k, 0) - f * x
+            if nx:
+                row[k] = nx
+            else:
+                del row[k]
+    return False
+
+
+def in_row_span(rows, v) -> bool:
+    """Exact rank check: is the vector v in the span of ``rows``?"""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for r in rows:
+        _insert(pivots, {i: Fraction(x) for i, x in enumerate(r) if x})
+    return not _insert(pivots, {i: Fraction(x) for i, x in enumerate(v) if x})
+
+
+def in_ideal_slice(f: SparsePoly, n: int, degree: int) -> bool:
+    """Independent check that f lies in the commuting ideal I of n x n pairs.
+
+    I is homogeneous, so f (of degree d = ``degree``) is in I iff it lies in
+    I_d, the span of the products (degree d-2 monomial) x (XY-YX)[k][l].  I
+    is also graded by x-degree, y-degree and the torus weight (x_ij and y_ij
+    weigh e_i - e_j; (XY-YX)[k][l] weighs e_k - e_l), so each graded part of
+    f must lie in the span of the products of its own multidegree.  Decided
+    per part by an exact Fraction rank check.
+    """
+    nvars = 2 * n * n
+
+    def multidegree(m: Monomial) -> tuple[int, ...]:
+        out = [0] * (n + 2)
+        for i, k in enumerate(m):
+            if k:
+                r, c = divmod(i % (n * n), n)
+                out[i // (n * n)] += k
+                out[2 + r] += k
+                out[2 + c] -= k
+        return tuple(out)
+
+    if any(sum(m) != degree for m, _ in f.terms):
+        return False
+    parts: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+    for m, c in f.terms:
+        parts.setdefault(multidegree(m), {})[m] = Fraction(c)
+    entries = [((k, l), commutator_entry(n, k, l)) for k in range(1, n + 1) for l in range(1, n + 1)]
+    spans: dict[tuple[int, ...], dict[Monomial, dict[Monomial, Fraction]]] = {d: {} for d in parts}
+    for combo in combinations_with_replacement(range(nvars), degree - 2):
+        extra = [0] * nvars
+        for i in combo:
+            extra[i] += 1
+        base = multidegree(tuple(extra))
+        for (k, l), g in entries:
+            d = list(base)
+            d[0] += 1
+            d[1] += 1
+            d[1 + k] += 1
+            d[1 + l] -= 1
+            pivots = spans.get(tuple(d))
+            if pivots is not None and g:
+                _insert(pivots, {m: Fraction(c) for m, c in g.mul_monomial(tuple(extra)).terms})
+    return all(not _insert(spans[d], row) for d, row in parts.items())
+
+
 def initial_slice_ranks(
     a: TropMatrix, b: TropMatrix, target: Monomial, degree: int = 4
 ) -> tuple[int, int]:
@@ -231,22 +307,7 @@ def initial_slice_ranks(
         return sum((k * wi for k, wi in zip(m, w) if k), Fraction(0))
 
     pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
-
-    def insert(row: dict[Monomial, Fraction]) -> None:
-        while row:
-            col = max(row)
-            piv = pivots.get(col)
-            if piv is None:
-                lead = row[col]
-                pivots[col] = {k: x / lead for k, x in row.items()}
-                return
-            f = row[col]
-            for k, x in piv.items():
-                nx = row.get(k, 0) - f * x
-                if nx:
-                    row[k] = nx
-                else:
-                    del row[k]
+    insert = partial(_insert, pivots)
 
     v = value(target)
     entries = [commutator_entry(n, k, l) for k in range(1, n + 1) for l in range(1, n + 1)]

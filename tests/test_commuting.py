@@ -1,8 +1,10 @@
 """Generators, tropical satisfaction, membership tests, witnesses, certificates."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -13,10 +15,10 @@ from tropcomm import (
     commutator_entry,
     generators,
     homogeneity_dimension,
-    homogeneity_membership,
     in_tc2,
     in_tpre,
     in_ts,
+    lineality_space,
     symmetric_generators,
     trop_satisfied,
     weight_of_pair,
@@ -34,7 +36,8 @@ from tropcomm.polynomials import (
 
 from helpers import (
     M, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F, S31_A, S31_B, TC2_A, TC2_B,
-    fraction_classify_pair, initial_slice_ranks, random_finite_matrix, random_prevariety_2x2_pair,
+    fraction_classify_pair, in_ideal_slice, in_row_span, initial_slice_ranks, random_finite_matrix,
+    random_prevariety_2x2_pair,
 )
 
 X2 = matrix_variables(2)
@@ -131,16 +134,19 @@ def test_in_tc2():
         assert in_tc2(a, a)
 
 
+def _in_homogeneity_space(w, n: int) -> bool:
+    # exact rank check against the basis of the all-ties subspace
+    basis, _ = lineality_space(list(generators(n)), 2 * n * n)
+    return in_row_span(basis, w)
+
+
 def test_homogeneity_membership_zero_and_formula():
-    res = homogeneity_membership(tuple(Fraction(0) for _ in range(8)), 2)
-    assert res.member and res.a == 0 and res.b == 0
+    assert _in_homogeneity_space(tuple(Fraction(0) for _ in range(8)), 2)
 
     # n=2 pattern with a=1, b=2, x12=3, x21=4
-    w = tuple(map(Fraction, (1, 3, 4, 1, 2, 4, 5, 2)))
-    res = homogeneity_membership(w, 2)
-    assert res.member and (res.a, res.b) == (1, 2) and res.c == (3, 4)
+    assert _in_homogeneity_space(tuple(map(Fraction, (1, 3, 4, 1, 2, 4, 5, 2))), 2)
 
-    assert not homogeneity_membership(tuple(map(Fraction, (1, 3, 4, 1, 2, 4, 5, 3))), 2).member
+    assert not _in_homogeneity_space(tuple(map(Fraction, (1, 3, 4, 1, 2, 4, 5, 3))), 2)
 
 
 def test_homogeneity_points_tie_every_generator_and_witness():
@@ -161,7 +167,7 @@ def test_homogeneity_points_tie_every_generator_and_witness():
             setx(i, j, xv)
             sety(i, j, b if i == j else xv - a + b)
     w = tuple(w)
-    assert homogeneity_membership(w, 3).member
+    assert _in_homogeneity_space(w, 3)
     for _, f in witness_family():
         ok, ev = trop_satisfied(f, w)
         assert ok and len(ev.argmin) == len(f)
@@ -257,13 +263,29 @@ def test_certificate_never_fires_on_equal_pairs():
         assert certify_not_in_tc3(a, a, deep=False) is None
 
 
+# in TS and Tpre, all witness families tie, yet a degree-4 ideal element
+# has a unique minimal monomial
+_DEEP_ONLY = ([[2, 2, 3], [1, 2, 0], [4, 3, 2]], [[0, 3, 0], [2, 0, 4], [3, 4, 0]])
+# images of it under S3 x S2, scaling and a homogeneity shift
+_SHIFTED = (
+    (M([["-7/8", "131/8", "103/8"], ["47/8", "-7/8", "37/8"], ["-45/8", "69/8", "-7/8"]]),
+     M([[1, "37/4", "47/4"], ["-41/4", 1, "-5/2"], ["-3/4", "3/2", 1]])),
+    (M([["-9/2", -9, "11/4"], [6, "-9/2", "37/4"], ["-7/4", "-9/4", "-9/2"]]),
+     M([["53/8", "33/8", "63/8"], ["121/8", "53/8", "115/8"], ["27/8", "-25/8", "53/8"]])),
+)
+
+
 def _deep_only_certificate(a, b):
     """The deep search certifies (A, B) where every witness polynomial ties,
-    and the certificate polynomial has the unique argmin it claims."""
+    and the certificate polynomial lies in the ideal and has the unique
+    argmin it claims."""
     assert certify_not_in_tc3(a, b, deep=False) is None
     cert = certify_not_in_tc3(a, b, deep=True)
     assert cert is not None
     assert cert.source.startswith("slice")
+    assert in_ideal_slice(cert.polynomial, 3, 4)
+    # no monomial lies in I, so moving one coefficient leaves the ideal
+    assert not in_ideal_slice(cert.polynomial + SparsePoly(((cert.unique_min_monomial, 1),)), 3, 4)
     w = weight_of_pair(a, b)
     ok, ev = trop_satisfied(cert.polynomial, w)
     assert not ok and ev.argmin == (cert.unique_min_monomial,)
@@ -272,21 +294,13 @@ def _deep_only_certificate(a, b):
 
 
 def test_deep_search_extends_the_witness_family():
-    # in TS and Tpre, all witness families tie, yet a degree-4 ideal element
-    # has a unique minimal monomial
-    a = M([[2, 2, 3], [1, 2, 0], [4, 3, 2]])
-    b = M([[0, 3, 0], [2, 0, 4], [3, 4, 0]])
+    a, b = M(_DEEP_ONLY[0]), M(_DEEP_ONLY[1])
     assert in_ts(a, b) and in_tpre(a, b).ok
     cert = _deep_only_certificate(a, b)
     assert cert.monomial_name() == "x21*x32*y13*y33"
 
 
-@pytest.mark.parametrize("a, b", [
-    (M([["-7/8", "131/8", "103/8"], ["47/8", "-7/8", "37/8"], ["-45/8", "69/8", "-7/8"]]),
-     M([[1, "37/4", "47/4"], ["-41/4", 1, "-5/2"], ["-3/4", "3/2", 1]])),
-    (M([["-9/2", -9, "11/4"], [6, "-9/2", "37/4"], ["-7/4", "-9/4", "-9/2"]]),
-     M([["53/8", "33/8", "63/8"], ["121/8", "53/8", "115/8"], ["27/8", "-25/8", "53/8"]])),
-], ids=["shift1", "shift2"])
+@pytest.mark.parametrize("a, b", _SHIFTED, ids=["shift1", "shift2"])
 def test_deep_search_certifies_shifted_images(a, b):
     # images of the pair above under S3 x S2, scaling and a homogeneity
     # shift, which spreads the products' minima over 303 and 257 values; the
@@ -295,6 +309,82 @@ def test_deep_search_certifies_shifted_images(a, b):
     cert = _deep_only_certificate(a, b)
     rank, with_target = initial_slice_ranks(a, b, cert.unique_min_monomial)
     assert rank == with_target
+
+
+def _grid(m):
+    return [[e.value for e in row] for row in m.rows]
+
+
+def _group_image(pair, rng: random.Random, shifted: bool):
+    # as the benchmark's certify inputs: (P^T A P, P^T B P) for a random
+    # S3 x S2 element, scaled by k > 0, and (when ``shifted``) conjugated by
+    # diag(c) with constants alpha, beta added to A and B
+    sigma = rng.choice(sorted(permutations(range(3))))
+    swap = rng.random() < 0.5
+    k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    c, alpha, beta = (Fraction(0),) * 3, Fraction(0), Fraction(0)
+    if shifted:
+        c = tuple(Fraction(rng.randint(-40, 40), 8) for _ in range(3))
+        alpha, beta = (Fraction(rng.randint(-40, 40), 8) for _ in range(2))
+    a, b = pair
+    if swap:
+        a, b = b, a
+
+    def move(m, shift):
+        return M([[Fraction(m[sigma[i]][sigma[j]]) * k + c[i] - c[j] + shift for j in range(3)]
+                  for i in range(3)])
+
+    return move(a, alpha), move(b, beta)
+
+
+def _pinned_slice_inputs():
+    """(a, b, degree) of the pinned slice searches; (a) and (c) are P7A and P7C."""
+    rng = random.Random(1103)
+    pairs = [(_grid(P7A_A), _grid(P7A_B)), (_grid(P7C_E), _grid(P7C_F)), _DEEP_ONLY]
+    out = [(*_group_image(pair, rng, shifted), 4)
+           for pair in pairs for shifted in (False, True) for _ in range(2)]
+    out += [(a, b, 4) for a, b in _SHIFTED]
+    for _ in range(50):
+        out.append((M([[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]),
+                    M([[rng.randint(0, 4) for _ in range(3)] for _ in range(3)]), 4))
+    out += [(P7A_A, P7A_B, 5), (M(_DEEP_ONLY[0]), M(_DEEP_ONLY[1]), 5)]
+    return out
+
+
+def test_slice_certificates_are_pinned():
+    # every certificate of the slice search, byte for byte, on images of
+    # golden pairs (a), (c) and the deep-only pair, the two shifted images,
+    # seeded 0..4 pairs and two degree-5 searches; the digest was taken
+    # before the search was split into a decision pass and a certificate pass
+    inputs = _pinned_slice_inputs()
+    certs = [commuting.find_monomial_initial_form(a, b, degree=d) for a, b, d in inputs]
+    for (a, b, d), cert in zip(inputs, certs):
+        if cert is not None:
+            assert in_ideal_slice(cert.polynomial, 3, d)
+    found = Counter(cert is not None for cert in certs)
+    assert found[True] >= 20 and found[False] >= 5, found
+    digest = hashlib.sha256(repr(certs).encode()).hexdigest()
+    assert digest == "3d9476585a149f4ad966a49c40ee6f604d0f7a8da3d1b245f868bd59d840ca52"
+
+
+@pytest.mark.parametrize("degree", [1, 0, -2])
+def test_slice_search_rejects_degrees_below_two(degree):
+    with pytest.raises(ValueError, match=r"^degree must be >= 2$"):
+        commuting.find_monomial_initial_form(P7A_A, P7A_B, degree=degree)
+    # the degree is checked before the weight is read
+    with pytest.raises(ValueError, match=r"^degree must be >= 2$"):
+        commuting.find_monomial_initial_form(M([["inf", 0, 0], [0, 0, 0], [0, 0, 0]]), P7A_B, degree=degree)
+
+
+def test_slice_search_at_the_lowest_degrees():
+    # (b) fails the prevariety at g11, so the degree-2 slice (the generators
+    # themselves) already has a monomial initial form
+    for degree in (2, 3):
+        cert = commuting.find_monomial_initial_form(P7B_C, P7B_D, degree=degree)
+        assert cert is not None and cert.source == f"slice[deg={degree}]"
+        assert sum(cert.unique_min_monomial) == degree
+        assert in_ideal_slice(cert.polynomial, 3, degree)
+    assert commuting.find_monomial_initial_form(P7A_A, P7A_B, degree=2) is None
 
 
 def test_classify_pair_regions():
@@ -408,7 +498,7 @@ def test_shared_scaling_matches_fraction_oracle_2x2_and_inf():
 
 
 _CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family",
-           "_generator_supports", "_family_supports")
+           "_generator_supports", "_family_supports", "_slice_data")
 
 
 def test_constant_data_is_built_once(monkeypatch):
@@ -437,6 +527,11 @@ def test_constant_data_is_built_once(monkeypatch):
         assert commuting.witness_family.cache_info().misses == 1
         assert commuting.labeled_generators.cache_info().misses == 1
         assert commuting._family_supports.cache_info().misses == 1
+        # the slice search builds its weight-independent data once per degree
+        for a, b in [(P7B_C, P7B_D), (P7A_A, P7A_B), (P7B_C, P7B_D)]:
+            commuting.find_monomial_initial_form(a, b, degree=3)
+        assert commuting._slice_data.cache_info().misses == 1
+        assert dict(calls) == first
     finally:
         for name in _CACHED:
             getattr(commuting, name).cache_clear()
