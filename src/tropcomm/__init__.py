@@ -50,7 +50,6 @@ from .commuting import (
     classify_pair,
     commutator_entry,
     generators,
-    homogeneity_dimension,
     in_tc2,
     in_tpre,
     in_ts,
@@ -66,7 +65,7 @@ from .fan import (
     FVector,
     enumerate_cells,
     f_vector,
-    lineality_space,
+    lineality_dim,
     maximal_cell_orbits,
     named_config,
 )

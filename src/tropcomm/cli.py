@@ -2,8 +2,9 @@
 
 Subcommands: check, fan, sample, star, gens, certify, lift, lift-verify, svg.
 Exit codes: 0 ok, 1 negative cycle (star) or lift not verified
-(lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded,
-5 sampling exhausted.  All output is deterministic given inputs and flags.
+(lift-verify), 2 parse error or an output file that cannot be written,
+3 unsupported input, 4 budget exceeded, 5 sampling exhausted.  All output
+is deterministic given inputs and flags.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ EXIT_EXHAUSTED = 5
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _write(path: str, text: str) -> int:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}")
+    return EXIT_OK
 
 
 def _entry(ij: tuple[int, int]) -> str:
@@ -154,7 +164,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
         return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
     if args.orbits and label != "symmetric:n=3":
         return _fail(EXIT_UNSUPPORTED, "--orbits needs the symmetric:n=3 configuration")
-    _, lin = fan_mod.lineality_space(gens, dim)
+    lin = fan_mod.lineality_dim(gens, dim)
     try:
         cells = fan_mod.enumerate_cells(gens, dim, budget=args.budget, jobs=args.jobs)
     except fan_mod.BudgetExceededError as exc:
@@ -201,10 +211,8 @@ def cmd_fan(args: argparse.Namespace) -> int:
         ]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return _write(args.output, text + "\n")
+    print(text)
     return EXIT_OK
 
 
@@ -347,9 +355,11 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
 def cmd_svg(args: argparse.Namespace) -> int:
     mats = [matrix_from_json(load_json(p)) for p in args.matrices]
     try:
-        doc = render_polytrope_svg(mats, args.output)
+        doc = render_polytrope_svg(mats, None)
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
+    if _write(args.output, doc.text):
+        return EXIT_PARSE
     print(
         f"wrote {args.output}: {doc.point_count} points, "
         f"regions {list(doc.region_vertex_counts)}"

@@ -3,9 +3,10 @@
 The commutator ideal in the 2n^2 variables {x_ij, y_ij} is generated by the
 entries of XY - YX.  This module evaluates its generators tropically (is the
 minimum attained twice?), decides membership in the tropical commuting set
-and prevariety, counts the homogeneity space, and searches for non-membership
-certificates for the n=3 tropical commuting variety: polynomials of the
-ideal whose minimum at a given weight is attained by a unique term.
+and prevariety, and searches for non-membership certificates for the n=3
+tropical commuting variety: polynomials of the ideal whose minimum at a
+given weight is attained by a unique term.  The homogeneity (lineality)
+space is counted by :func:`tropcomm.fan.lineality_dim`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "in_ts",
     "in_tpre",
     "in_tc2",
-    "homogeneity_dimension",
     "group_elements",
     "variable_permutation",
     "apply_group",
@@ -243,27 +243,6 @@ def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
     return in_tpre(a, b).ok
-
-
-# ---------------------------------------------------------------------------
-# homogeneity space
-# ---------------------------------------------------------------------------
-
-def tie_rows(gens: Sequence[SparsePoly]) -> list[tuple[int, ...]]:
-    """Difference vectors u - v for consecutive terms of each generator."""
-    rows = []
-    for g in gens:
-        ms = g.monomials()
-        for u, v in zip(ms, ms[1:]):
-            rows.append(tuple(a - b for a, b in zip(u, v)))
-    return rows
-
-
-def homogeneity_dimension(n: int) -> int:
-    """dim of the all-ties subspace, by an exact basis (not by formula)."""
-    from .simplex import null_space_basis
-
-    return len(null_space_basis(tie_rows(generators(n)), 2 * n * n))
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,9 @@ __all__ = [
     "DEFAULT_BUDGET",
     "KNOWN_FVECTOR_VARIETY_3",
     "KNOWN_FVECTOR_PREVARIETY_3_FULL",
-    "KNOWN_FVECTOR_SYMMETRIC_VARIETY_3",
     "argmin_subsets",
     "candidate_count",
-    "lineality_space",
+    "lineality_dim",
     "cell_system",
     "enumerate_cells",
     "f_vector",
@@ -61,7 +60,6 @@ DEFAULT_BUDGET = 10 ** 6
 # tool's enumeration budget, kept for reference and for the budget-guard UX.
 KNOWN_FVECTOR_VARIETY_3 = (1, 1658, 23755, 143852, 481835, 972387, 1186489, 808218, 235038)
 KNOWN_FVECTOR_PREVARIETY_3_FULL = (1, 146, 2290, 16322, 66193, 162886, 241476, 199030, 71766, 2397, 58)
-KNOWN_FVECTOR_SYMMETRIC_VARIETY_3 = (1, 66, 705, 3246, 7932, 10878, 8184, 2745)
 
 
 class BudgetExceededError(RuntimeError):
@@ -83,14 +81,13 @@ PatternAction = list[tuple[int, tuple[int, ...]]]
 
 @dataclass(frozen=True)
 class Cell:
-    """A relatively open cell: pattern, exact system, dimension, witness.
+    """A relatively open cell: its argmin pattern, dimension and an exact
+    interior witness.
 
-    ``equalities`` are the tie rows (= 0 on the cell); ``inequalities`` are
-    the strict rows (< 0 on the relative interior)."""
+    Its system is ``cell_system(gens, cell.pattern)``: the tie rows (= 0 on
+    the cell) and the strict rows (< 0 on the relative interior)."""
 
     pattern: Pattern
-    equalities: tuple[Row, ...]
-    inequalities: tuple[Row, ...]
     dim: int
     witness: tuple[Fraction, ...]
 
@@ -128,14 +125,25 @@ def candidate_count(gens: Sequence[SparsePoly]) -> int:
     return total
 
 
-def lineality_space(gens: Sequence[SparsePoly], dim: int) -> tuple[list[Row], int]:
-    """Integer basis and dimension of the all-ties subspace (ties of every generator)."""
-    from .commuting import tie_rows
-    from .simplex import null_space_basis
+def _subset_rows(terms: Sequence[Monomial], sub: Sequence[int]) -> tuple[list[Row], list[Row]]:
+    """The raw tie rows (consecutive terms of the argmin subset ``sub``) and
+    strict rows (its first term minus each term outside it) of one generator."""
+    rep = terms[sub[0]]
+    eqs = [tuple(a - b for a, b in zip(terms[u], terms[v])) for u, v in zip(sub, sub[1:])]
+    stricts = [tuple(a - b for a, b in zip(rep, m)) for t, m in enumerate(terms) if t not in sub]
+    return eqs, stricts
 
-    rows = tie_rows(gens)
-    basis = null_space_basis(rows, dim)
-    return basis, len(basis)
+
+def lineality_dim(gens: Sequence[SparsePoly], dim: int) -> int:
+    """Dimension of the all-ties subspace (every generator's terms tied):
+    ``dim`` minus the rank of the all-ties pattern's tie rows."""
+    pivots: dict[int, Row] = {}
+    for g in gens:
+        terms = g.monomials()
+        if terms:  # an empty generator ties nothing
+            for row in _subset_rows(terms, range(len(terms)))[0]:
+                add_pivot(pivots, row)
+    return dim - len(pivots)
 
 
 def _gen_tables(gens: Sequence[SparsePoly]):
@@ -147,18 +155,8 @@ def _gen_tables(gens: Sequence[SparsePoly]):
         index: dict[Row, int] = {}
         entries = []
         for sub in argmin_subsets(len(terms)):
-            inside = set(sub)
-            eqs = [
-                primitive([a - b for a, b in zip(terms[u], terms[v])])
-                for u, v in zip(sub, sub[1:])
-            ]
-            rep = terms[sub[0]]
-            stricts = [
-                tuple(a - b for a, b in zip(rep, terms[t]))
-                for t in range(len(terms))
-                if t not in inside
-            ]
-            eq_ids = tuple(index.setdefault(r, len(index)) for r in eqs)
+            eqs, stricts = _subset_rows(terms, sub)
+            eq_ids = tuple(index.setdefault(primitive(r), len(index)) for r in eqs)
             strict_ids = tuple(index.setdefault(r, len(index)) for r in stricts)
             entries.append((sub, eq_ids, strict_ids))
         tables.append((terms, list(index), entries))
@@ -170,14 +168,9 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
     eqs: list[Row] = []
     stricts: list[Row] = []
     for g, sub in zip(gens, pattern):
-        terms = g.monomials()
-        inside = set(sub)
-        for u, v in zip(sub, sub[1:]):
-            eqs.append(tuple(a - b for a, b in zip(terms[u], terms[v])))
-        rep = terms[sub[0]]
-        for t in range(len(terms)):
-            if t not in inside:
-                stricts.append(tuple(a - b for a, b in zip(rep, terms[t])))
+        sub_eqs, sub_stricts = _subset_rows(g.monomials(), sub)
+        eqs += sub_eqs
+        stricts += sub_stricts
     return eqs, stricts
 
 
@@ -297,7 +290,7 @@ def enumerate_cells(
     gens = [g for g in gens if g]
     if not gens:
         zero = tuple(Fraction(0) for _ in range(dim))
-        return [Cell(pattern=(), equalities=(), inequalities=(), dim=dim, witness=zero)]
+        return [Cell(pattern=(), dim=dim, witness=zero)]
     total = candidate_count(gens)
     if total > budget:
         raise BudgetExceededError(total, budget)
@@ -315,24 +308,10 @@ def enumerate_cells(
         raw = _enumerate_branch((tables, dim, None))
 
     raw.sort(key=lambda c: c[0])
-    # a cell's rows are its generators' table rows, shared between cells
-    systems = [
-        {sub: (tuple(rows[i] for i in eq_ids), tuple(rows[i] for i in strict_ids)) for sub, eq_ids, strict_ids in entries}
-        for _, rows, entries in tables
+    return [
+        Cell(pattern=pattern, dim=dim_cell, witness=tuple(Fraction(x, d) for x in w))
+        for pattern, dim_cell, w, d in raw
     ]
-    cells = []
-    for pattern, dim_cell, w, d in raw:
-        parts = [level[sub] for level, sub in zip(systems, pattern)]
-        cells.append(
-            Cell(
-                pattern=pattern,
-                equalities=tuple(row for eqs, _ in parts for row in eqs),
-                inequalities=tuple(row for _, stricts in parts for row in stricts),
-                dim=dim_cell,
-                witness=tuple(Fraction(x, d) for x in w),
-            )
-        )
-    return cells
 
 
 def f_vector(cells: Sequence[Cell], lineality_dim: int) -> FVector:

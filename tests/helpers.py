@@ -13,7 +13,7 @@ from tropcomm.fan import _Node
 from tropcomm.polynomials import Monomial, SparsePoly
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
-from tropcomm.simplex import eliminate, strict_feasibility
+from tropcomm.simplex import eliminate, null_space_basis, strict_feasibility
 
 
 def M(rows) -> TropMatrix:
@@ -405,6 +405,16 @@ def raw_strict_feasibility(eqs, stricts, dim: int):
     if node is None:
         return None
     return strict_feasibility(node.pivots, list(node.stricts), dim)
+
+
+def lineality_basis(gens, dim: int) -> list[tuple[int, ...]]:
+    """Integer basis of the all-ties subspace: the null space of u - v for
+    consecutive terms u, v of each generator."""
+    rows = []
+    for g in gens:
+        ms = g.monomials()
+        rows += [tuple(a - b for a, b in zip(u, v)) for u, v in zip(ms, ms[1:])]
+    return null_space_basis(rows, dim)
 
 
 def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction]]:

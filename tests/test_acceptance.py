@@ -16,6 +16,7 @@ the unit vector is added.  So no ideal element of any degree certifies (a)
 by that monomial, and "unknown" is the correct answer of the toolkit.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -31,11 +32,10 @@ from tropcomm import (
     enumerate_cells,
     f_vector,
     generators,
-    homogeneity_dimension,
     in_ts,
     kleene_star,
     lift_2x2,
-    lineality_space,
+    lineality_dim,
     named_config,
     trop_add,
     trop_mul,
@@ -64,6 +64,7 @@ from helpers import (
 )
 
 SYMMETRIC_FVECTOR = (1, 39, 375, 1716, 4359, 6366, 5136, 1869, 6)
+SYMMETRIC_CELLS_SHA256 = "e6639edb13f51f03c83eddafa9e84fd839fc94b2ed9fd1a17f233339b44aa178"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -74,10 +75,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def symmetric_run():
     cfg = named_config("symmetric:n=3")
     gens = list(cfg.gens)
-    _, lin = lineality_space(gens, cfg.dim)
+    lin = lineality_dim(gens, cfg.dim)
     t0 = time.time()
     cells = enumerate_cells(gens, cfg.dim, jobs=2)
     elapsed = time.time() - t0
+    # pattern, dimension and witness of every cell, as the enumerator reported them
+    digest = hashlib.sha256(repr([(c.pattern, c.dim, c.witness) for c in cells]).encode()).hexdigest()
+    assert digest == SYMMETRIC_CELLS_SHA256
     return cfg, gens, lin, cells, elapsed
 
 
@@ -233,7 +237,7 @@ def test_criterion_5_witness_polynomial(capsys):
 
 
 def test_criterion_6_homogeneity_dimensions(capsys):
-    dims = [homogeneity_dimension(n) for n in (2, 3, 4, 5)]
+    dims = [lineality_dim(generators(n), 2 * n * n) for n in (2, 3, 4, 5)]
     ok = dims == [4, 4, 5, 6]
     with capsys.disabled():
         report(6, ok, f"homogeneity dimensions by exact rank: {dims}")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: goldens, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,11 @@ def test_fan_n2(capsys):
     assert report["f_vector"] == [1, 4, 6]
     assert report["cell_count"] == 11
     assert report["generator_count"] == 3
+    code, out, _ = run(capsys, "fan", "commuting:n=2", "--emit-cells")
+    assert code == 0
+    # the report with every cell's pattern, dimension and witness
+    digest = "1bd03bf2e3975fbc8ef1fb8d2fbd7888add97f71acfb70036ac643989a66280c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fan_budget_guard(capsys):
@@ -149,6 +155,28 @@ def test_fan_generator_file(tmp_path, capsys):
     assert report["lineality_dim"] == 1
     assert report["f_vector"] == [1, 3]
     assert len(report["cells"]) == 4
+
+    # a generator whose terms cancel is empty: it ties nothing and cuts nothing
+    spec["generators"].append([{"exponents": [1, 0, 0]}, {"exponents": [1, 0, 0], "coefficient": -1}])
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "fan", str(path), "--emit-cells")
+    assert code == 0
+    with_empty = json.loads(out)
+    assert with_empty["generator_count"] == 2
+    assert with_empty["lineality_dim"] == report["lineality_dim"]
+    assert with_empty["cells"] == report["cells"]
+
+
+def test_fan_lineality_builds_no_basis(tmp_path, capsys):
+    """The lineality dimension is counted, not spanned: a basis of 10^5
+    vectors of 10^5 coordinates would need tens of GB."""
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"dimension": 100000, "generators": []}))
+    code, out, _ = run(capsys, "fan", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["lineality_dim"] == 100000
+    assert report["f_vector"] == [1]
 
 
 def test_sample_ts_minus_tpre(capsys):
@@ -402,6 +430,21 @@ def test_svg_command(tmp_path, capsys):
     assert code == 0
     assert out_path.exists()
     assert "<svg" in out_path.read_text()
+
+
+@pytest.mark.parametrize("command", ["fan", "svg"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, target):
+    dest = tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path
+    if command == "fan":
+        argv = ("fan", "commuting:n=2", "-o", str(dest))
+    else:
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(matrix_to_json(P7A_A)))
+        argv = ("svg", str(m), "-o", str(dest))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {dest}") and err.count("\n") == 1
 
 
 def test_svg_of_a_coordinate_beyond_float_exits_3(tmp_path, capsys):

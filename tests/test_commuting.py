@@ -14,11 +14,10 @@ from tropcomm import (
     classify_pair,
     commutator_entry,
     generators,
-    homogeneity_dimension,
     in_tc2,
     in_tpre,
     in_ts,
-    lineality_space,
+    lineality_dim,
     symmetric_generators,
     trop_satisfied,
     weight_of_pair,
@@ -36,8 +35,8 @@ from tropcomm.polynomials import (
 
 from helpers import (
     M, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F, S31_A, S31_B, TC2_A, TC2_B,
-    fraction_classify_pair, in_ideal_slice, in_row_span, initial_slice_ranks, random_finite_matrix,
-    random_prevariety_2x2_pair,
+    fraction_classify_pair, in_ideal_slice, in_row_span, initial_slice_ranks, lineality_basis,
+    random_finite_matrix, random_prevariety_2x2_pair,
 )
 
 X2 = matrix_variables(2)
@@ -136,8 +135,7 @@ def test_in_tc2():
 
 def _in_homogeneity_space(w, n: int) -> bool:
     # exact rank check against the basis of the all-ties subspace
-    basis, _ = lineality_space(list(generators(n)), 2 * n * n)
-    return in_row_span(basis, w)
+    return in_row_span(lineality_basis(generators(n), 2 * n * n), w)
 
 
 def test_homogeneity_membership_zero_and_formula():
@@ -174,10 +172,9 @@ def test_homogeneity_points_tie_every_generator_and_witness():
 
 
 def test_homogeneity_dimension_by_rank():
-    assert homogeneity_dimension(2) == 4
-    assert homogeneity_dimension(3) == 4
-    assert homogeneity_dimension(4) == 5
-    assert homogeneity_dimension(5) == 6
+    for n, expected in ((2, 4), (3, 4), (4, 5), (5, 6)):
+        assert lineality_dim(generators(n), 2 * n * n) == expected
+        assert len(lineality_basis(generators(n), 2 * n * n)) == expected
 
 
 def test_witness_deg4_structure():

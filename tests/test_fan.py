@@ -14,7 +14,7 @@ from tropcomm import (
     enumerate_cells,
     f_vector,
     generators,
-    lineality_space,
+    lineality_dim,
     maximal_cell_orbits,
     named_config,
     symmetric_generators,
@@ -29,23 +29,25 @@ from tropcomm.fan import (
     cell_system,
 )
 from tropcomm.polynomials import SparsePoly
-from tropcomm.simplex import add_pivot, eliminate, primitive
+from tropcomm.simplex import add_pivot, eliminate
 
 from helpers import raw_strict_feasibility
 
 
 def test_lineality_dimensions():
     cfg = named_config("commuting:n=2")
-    _, lin = lineality_space(list(cfg.gens), cfg.dim)
+    lin = lineality_dim(list(cfg.gens), cfg.dim)
     assert lin == 4
 
     cfg = named_config("symmetric:n=3")
-    _, lin = lineality_space(list(cfg.gens), cfg.dim)
+    lin = lineality_dim(list(cfg.gens), cfg.dim)
     assert lin == 2
 
     tie_line = SparsePoly.from_terms({(1, 0): 1, (0, 1): -1})
-    _, lin = lineality_space([tie_line], 2)
+    lin = lineality_dim([tie_line], 2)
     assert lin == 1
+    cancelled = SparsePoly.from_terms([((1, 0), 1), ((1, 0), -1)])
+    assert not cancelled and lineality_dim([cancelled, tie_line], 2) == 1
 
 
 def test_relative_interior_feasibility():
@@ -89,7 +91,7 @@ def test_enumerate_n2():
     gens = list(cfg.gens)
     cells = enumerate_cells(gens, cfg.dim)
     assert len(cells) == 11
-    _, lin = lineality_space(gens, cfg.dim)
+    lin = lineality_dim(gens, cfg.dim)
     fv = f_vector(cells, lin)
     assert fv.lineality_dim == 4
     assert fv.counts == (1, 4, 6)
@@ -146,16 +148,18 @@ def test_single_generator_tropical_line():
     g = SparsePoly.from_terms({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     cells = enumerate_cells([g], 3)
     assert len(cells) == 4
-    _, lin = lineality_space([g], 3)
+    lin = lineality_dim([g], 3)
     assert lin == 1
     assert f_vector(cells, lin).counts == (1, 3)
 
 
 def test_empty_generators():
     cells = enumerate_cells([], 5)
-    _, lin = lineality_space([], 5)
+    lin = lineality_dim([], 5)
     assert f_vector(cells, lin).counts == (1,)
     assert lin == 5
+    # no basis is built: a million coordinates cost nothing
+    assert lineality_dim([], 10 ** 6) == 10 ** 6
 
 
 def test_budget_guard_for_full_3x3():
@@ -234,11 +238,11 @@ def test_strict_feasibility_accepts_cells():
     """The LP finds an exact interior point of every enumerated cell."""
     for gens, dim in _fan_systems():
         for c in enumerate_cells(gens, dim):
-            found = raw_strict_feasibility(c.equalities, c.inequalities, dim)
+            eqs, stricts = cell_system(gens, c.pattern)
+            found = raw_strict_feasibility(eqs, stricts, dim)
             assert found is not None
             w, d = found
             assert d > 0
-            eqs, stricts = cell_system(gens, c.pattern)
             assert all(sum(a * x for a, x in zip(row, w)) == 0 for row in eqs)
             assert all(sum(a * x for a, x in zip(row, w)) < 0 for row in stricts)
 
@@ -307,15 +311,6 @@ def test_cells_and_witnesses_are_pinned(system, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_cells_share_the_rows_of_cell_system():
-    for gens, dim in _fan_systems():
-        cells = enumerate_cells(gens, dim)
-        for c in cells:
-            eqs, stricts = cell_system(gens, c.pattern)
-            assert c.equalities == tuple(primitive(e) for e in eqs)
-            assert c.inequalities == tuple(stricts)
-
-
 def test_verify_cell_rejects_a_nudged_witness():
     for gens, dim in _fan_systems():
         cells = enumerate_cells(gens, dim)
@@ -323,7 +318,7 @@ def test_verify_cell_rejects_a_nudged_witness():
         for c in cells:
             _verify_cell(terms, c.pattern, c.witness)
             # moving along a tie row breaks that tie, so the pattern changes
-            tie = c.equalities[0]
+            tie = cell_system(gens, c.pattern)[0][0]
             nudged = [x + Fraction(k, 997) for x, k in zip(c.witness, tie)]
             with pytest.raises(AssertionError):
                 _verify_cell(terms, c.pattern, nudged)
@@ -365,14 +360,14 @@ SYMMETRIC_3_ORBITS = (
 
 
 def _top_cells(patterns):
-    return [Cell(pattern=p, equalities=(), inequalities=(), dim=10, witness=()) for p in patterns]
+    return [Cell(pattern=p, dim=10, witness=()) for p in patterns]
 
 
 def test_maximal_cell_orbits_of_the_symmetric_3x3_prevariety():
     cfg = named_config("symmetric:n=3")
     patterns = [p for orbit in SYMMETRIC_3_ORBITS for p in orbit]
     # one lower-dimensional cell, which the orbits ignore
-    low = Cell(pattern=((0, 1), (0, 1), (0, 1)), equalities=(), inequalities=(), dim=9, witness=())
+    low = Cell(pattern=((0, 1), (0, 1), (0, 1)), dim=9, witness=())
     orbits = maximal_cell_orbits(_top_cells(reversed(patterns)) + [low], list(cfg.gens), cfg.names)
     assert [(o.size, o.cells) for o in orbits] == [(len(c), c) for c in SYMMETRIC_3_ORBITS]
     assert orbits[0].tie_pairs == ((("x13*y23", "x23*y13"), ("x12*y23", "x23*y12"), ("x12*y13", "x13*y12")),)
