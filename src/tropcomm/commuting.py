@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 WeightVector = tuple[Fraction, ...]
-# per term of a polynomial, its nonzero exponents as (variable index, exponent)
-Support = tuple[tuple[tuple[int, int], ...], ...]
+# per term of a polynomial, its variable indices, each once per unit of exponent
+Support = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +97,18 @@ def generators(n: int) -> tuple[SparsePoly, ...]:
     return tuple(g for _, g in labeled_generators(n))
 
 
-def _exponents(m: Monomial) -> tuple[tuple[int, int], ...]:
-    return tuple((i, k) for i, k in enumerate(m) if k)
+def _exponents(m: Monomial) -> tuple[int, ...]:
+    return tuple(i for i, k in enumerate(m) for _ in range(k))
 
 
 def _support(f: SparsePoly) -> Support:
     return tuple(_exponents(m) for m, _ in f.terms)
+
+
+def _term_values(support: Support, iw: Sequence[int]) -> list[int]:
+    """The term values at the weight w scaled to ints: D times those of
+    :func:`evaluate_tropically` (see :func:`tropcomm.core._lcm_scale`)."""
+    return [sum(map(iw.__getitem__, t)) for t in support]
 
 
 @cache
@@ -194,9 +200,9 @@ def trop_satisfied(f: SparsePoly, w: WeightVector) -> tuple[bool, TropEvaluation
 
 
 def _min_attained_twice(support: Support, iw: Sequence[int]) -> bool:
-    """trop_satisfied at the weight w scaled to ints (same argmins, see
-    :func:`tropcomm.core._lcm_scale`), without building the evaluation."""
-    vals = [sum(iw[i] * k for i, k in t) for t in support]
+    """trop_satisfied at the weight w scaled to ints, without building the
+    evaluation."""
+    vals = _term_values(support, iw)
     return vals.count(min(vals)) >= 2
 
 
@@ -375,20 +381,17 @@ def _code(m: Monomial, base: int) -> int:
 @cache
 def _slice_data(n: int, degree: int) -> tuple[tuple, tuple]:
     """The weight-independent data of the degree-d slice search, built once
-    per (n, d): each degree d-2 monomial as (monomial, support, code), and
-    each generator's terms as (support, code, coefficient); codes in base
-    d + 1."""
+    per (n, d), codes in base d + 1: the degree d-2 monomials as (support,
+    ((monomial, code), ...)), and each generator as (support, ((code,
+    coefficient), ...)), both in term order."""
     base = degree + 1
     names = matrix_variables(n)
-    extras = []
-    for c in combinations_with_replacement(names, degree - 2):
-        m = monomial(names, *c)
-        extras.append((m, _exponents(m), _code(m, base)))
+    extras = [monomial(names, *c) for c in combinations_with_replacement(names, degree - 2)]
     gens = tuple(
-        tuple((sup, _code(m, base), c) for sup, (m, c) in zip(_support(g), g.terms))
+        (_support(g), tuple((_code(m, base), c) for m, c in g.terms))
         for g in generators(n)
     )
-    return tuple(extras), gens
+    return (tuple(map(_exponents, extras)), tuple((m, _code(m, base)) for m in extras)), gens
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int,
@@ -482,11 +485,12 @@ def find_monomial_initial_form(
         return sum(k * x for k, x in zip(m, iw)) * level + _code(m, base)
 
     # the same keys from the cached supports and codes
-    extras, gcodes = _slice_data(a.n, degree)
-    gterms = [[(sum(iw[i] * k for i, k in sup) * level + code, c) for sup, code, c in g] for g in gcodes]
+    (esup, extras), gcodes = _slice_data(a.n, degree)
+    gterms = [[(v * level + code, c) for v, (code, c) in zip(_term_values(sup, iw), terms)]
+              for sup, terms in gcodes]
     glow = [min(k for k, _ in t) for t in gterms]
     # the products (degree d-2 monomial m) x generator gi, by lowest column
-    ekeys = [(sum(iw[i] * k for i, k in sup) * level + code, m) for m, sup, code in extras]
+    ekeys = [(v * level + code, m) for v, (m, code) in zip(_term_values(esup, iw), extras)]
     products = sorted((ek + low, m, gi) for ek, m in ekeys for gi, low in enumerate(glow))
 
     def row_of(low: int, gi: int) -> dict[int, int]:
@@ -566,32 +570,33 @@ def certify_not_in_tc3(
     monomial of degree <= 4 is an initial form at (A, B); it is never a
     membership proof.
 
-    Ties are tested on integer term values; the first member without one
-    is evaluated exactly, and that evaluation must confirm the unique
-    argmin before it becomes the certificate.
+    Ties are tested on the term values at the weight scaled to ints (D
+    times its entries, D > 0 the lcm of their denominators), computed once
+    per member.  The first untied member is evaluated exactly on those
+    D-scaled ints: they are the exact term values times D, so they give its
+    unique minimal term, and its minimum and runner-up divided by D.
     """
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")
-    iw, _ = _lcm_scale(weight_of_pair(a, b))
-    return _certify(a, b, iw, deep)
+    iw, d = _lcm_scale(weight_of_pair(a, b))
+    return _certify(a, b, iw, d, deep)
 
 
 def _certify(
-    a: TropMatrix, b: TropMatrix, iw: Sequence[int], deep: bool
+    a: TropMatrix, b: TropMatrix, iw: Sequence[int], d: int, deep: bool
 ) -> Optional[NonMembershipCertificate]:
     """:func:`certify_not_in_tc3` with the weight of the 3x3 pair (A, B)
-    already scaled to ints."""
+    already scaled to the ints ``iw``, D = ``d`` times its entries."""
     for label, f, support in _family_supports():
-        if _min_attained_twice(support, iw):
-            continue
-        ev = evaluate_tropically(f, weight_of_pair(a, b))
-        if len(ev.argmin) == 1 and ev.runner_up is not None:
+        vals = _term_values(support, iw)
+        low = min(vals)
+        if vals.count(low) == 1 and len(vals) > 1:
             return NonMembershipCertificate(
                 source=label,
                 polynomial=f,
-                unique_min_monomial=ev.argmin[0],
-                min_value=ev.min_value,
-                runner_up_value=ev.runner_up,
+                unique_min_monomial=f.terms[vals.index(low)][0],
+                min_value=Fraction(low, d),
+                runner_up_value=Fraction(min(v for v in vals if v != low), d),
             )
     if deep:
         return find_monomial_initial_form(a, b, degree=4)
@@ -620,7 +625,7 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")
     # one scaling serves the min-plus products and the weight of the ties
-    (x, y), _ = _int_grids(a.rows, b.rows)
+    (x, y), d = _int_grids(a.rows, b.rows)
     ab, ba = _int_mul(x, y), _int_mul(y, x)
     ts_wit = _first_difference(ab, ba)
     iw = _finite_weight([v for g in (x, y) for row in g for v in row])
@@ -629,7 +634,7 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
     if a.n == 2:
         status = "in" if tpre.ok else "out"  # TC2 = Tpre2, see in_tc2
     else:
-        cert = _certify(a, b, iw, deep)
+        cert = _certify(a, b, iw, d, deep)
         status = "certified-out" if cert is not None else "unknown"
     return PairClassification(
         n=a.n, ts=ts_wit is None, ts_witness=ts_wit, tpre=tpre, tc_status=status, certificate=cert

@@ -289,8 +289,7 @@ def enumerate_cells(
     """
     gens = [g for g in gens if g]
     if not gens:
-        zero = tuple(Fraction(0) for _ in range(dim))
-        return [Cell(pattern=(), dim=dim, witness=zero)]
+        return [Cell(pattern=(), dim=dim, witness=(Fraction(0),) * dim)]
     total = candidate_count(gens)
     if total > budget:
         raise BudgetExceededError(total, budget)

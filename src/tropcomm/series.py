@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _lcm_scale
+from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _int_grids, _lcm_scale
 
 __all__ = [
     "SeriesPoly",
@@ -78,11 +78,6 @@ class SeriesPoly:
 
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
         return _sum_of_products(((self, other),))
-
-    def shift(self, exponent) -> "SeriesPoly":
-        """Multiply by t^exponent."""
-        d = _q(exponent)
-        return SeriesPoly(tuple((e + d, c) for e, c in self.terms))
 
     def __str__(self) -> str:
         return format_series(self)
@@ -201,7 +196,7 @@ class SeriesMatrix:
         if other.n != n:
             raise ValueError("size mismatch")
         # one scaling for all entries of both factors
-        polys, de, dc = _int_terms([e for m in (self, other) for row in m.rows for e in row])
+        polys, _, de, dc = _int_terms([e for m in (self, other) for row in m.rows for e in row])
         x, y = polys[: n * n], polys[n * n :]
         return SeriesMatrix(
             tuple(
@@ -217,14 +212,17 @@ class SeriesMatrix:
         return [[format_series(e) for e in row] for row in self.rows]
 
 
-def _int_terms(polys: list[SeriesPoly]) -> tuple[list[list[tuple[int, int]]], int, int]:
-    """Each series' terms as ints: exponents times the lcm De of all the
-    exponents' denominators, coefficients times the lcm Dc of all the
-    coefficients' denominators; and De, Dc."""
-    exps, de = _lcm_scale([e for p in polys for e, _ in p.terms])
+def _int_terms(
+    polys: list[SeriesPoly], values: Sequence[Optional[Fraction]] = ()
+) -> tuple[list[list[tuple[int, int]]], list[Optional[int]], int, int]:
+    """Each series' terms as ints: exponents times the lcm De of the
+    denominators of all the exponents and ``values``, coefficients times
+    the lcm Dc of all the coefficients' denominators; the values times De
+    (None, +inf, stays None); De and Dc."""
+    exps, de = _lcm_scale([e for p in polys for e, _ in p.terms] + list(values))
     coeffs, dc = _lcm_scale([c for p in polys for _, c in p.terms])
     scaled = iter(zip(exps, coeffs))
-    return [[next(scaled) for _ in p.terms] for p in polys], de, dc
+    return [[next(scaled) for _ in p.terms] for p in polys], exps[len(coeffs):], de, dc
 
 
 def _add_products(out: dict[int, int], pairs: Iterable[tuple[list, list]], sign: int = 1) -> None:
@@ -250,7 +248,7 @@ def _int_sum_of_products(pairs: Iterable[tuple[list, list]], de: int, dc: int) -
 
 def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
     """sum of f*g over the pairs."""
-    polys, de, dc = _int_terms([p for pair in pairs for p in pair])
+    polys, _, de, dc = _int_terms([p for pair in pairs for p in pair])
     return _int_sum_of_products(zip(polys[::2], polys[1::2]), de, dc)
 
 
@@ -269,13 +267,24 @@ def verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: TropMatrix) 
     """x*y == y*x exactly, val(x) == a, and val(y) == b; failures pinpointed.
 
     X, Y, A and B must have one size (SizeMismatchError otherwise).  The
-    terms of X and Y are scaled to ints together, so each entry of XY - YX
-    is one int sum, nonzero exactly when the entry fails to commute.
+    terms of X and Y are scaled to ints together, their exponents on one
+    scale with the entries of A and B, so each entry of XY - YX is one int
+    sum, nonzero exactly when the entry fails to commute, and each
+    valuation is compared as an int.
     """
     n = x.n
     if not y.n == a.n == b.n == n:
         raise SizeMismatchError(f"size mismatch: X is {n}x{n}, Y {y.n}x{y.n}, A {a.n}x{a.n}, B {b.n}x{b.n}")
-    polys, _, _ = _int_terms([e for m in (x, y) for row in m.rows for e in row])
+    polys, targets, _, _ = _int_terms([e for m in (x, y) for row in m.rows for e in row],
+                                      [t.value for m in (a, b) for row in m.rows for t in row])
+    fails = _lift_failures(n, polys, targets)
+    return LiftCheck(ok=not fails, failures=tuple(fails))
+
+
+def _lift_failures(n: int, polys: list, targets: list) -> list[tuple[str, tuple[int, int]]]:
+    """The failures of :func:`verify_lift`, in its order, for the entries
+    of X then Y (row-major) as :func:`_int_terms` lists and the entries of
+    A then B scaled like their exponents (None for +inf)."""
     xs, ys = polys[: n * n], polys[n * n :]
     fails: list[tuple[str, tuple[int, int]]] = []
     for i in range(n):
@@ -286,13 +295,11 @@ def verify_lift(x: SeriesMatrix, y: SeriesMatrix, a: TropMatrix, b: TropMatrix) 
             _add_products(acc, zip(ys[i * n : i * n + n], xs[j::n]), -1)
             if any(acc.values()):
                 fails.append(("commutation", (i + 1, j + 1)))
-    for kind, mat, target in (("valuation-X", x, a), ("valuation-Y", y, b)):
-        for i, (row, trow) in enumerate(zip(mat.rows, target.rows)):
-            for j, (e, t) in enumerate(zip(row, trow)):
-                # the least exponent, None (+inf) for the zero series
-                if (e.terms[0][0] if e.terms else None) != t.value:
-                    fails.append((kind, (i + 1, j + 1)))
-    return LiftCheck(ok=not fails, failures=tuple(fails))
+    for k, (p, t) in enumerate(zip(polys, targets)):
+        # the least exponent, None (+inf) for the zero series
+        if (p[0][0] if p else None) != t:
+            fails.append(("valuation-X" if k < n * n else "valuation-Y", (k // n % n + 1, k % n + 1)))
+    return fails
 
 
 def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, SeriesMatrix]]:
@@ -302,27 +309,34 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     v is pinned by the off-diagonal valuations (the exchange relation makes
     the two requirements agree), and the diagonal of X carries at most one
     extra term so cancellation against alpha produces the demanded
-    valuations.  Every returned pair is verified.
+    valuations.  Every returned pair passes the check of
+    :func:`verify_lift`: XY - YX is zero exactly and the valuations are a
+    and b.
 
     The precondition is :func:`tropcomm.commuting.in_tc2`, i.e. membership
-    in the prevariety Tpre2.  The ansatz covers all of Tpre2 (the forced
-    valuations of alpha agree exactly when the minimum of {b11, b22, v+a11,
-    v+a22} is attained twice), so None on a Tpre2 point is a bug.
+    in the prevariety Tpre2, with its exceptions in its order.  The ansatz
+    covers all of Tpre2 (the forced valuations of alpha agree exactly when
+    the minimum of {b11, b22, v+a11, v+a22} is attained twice), so None on
+    a Tpre2 point is a bug.  The test, the ansatz and the check run on the
+    entries of a and b scaled to ints by one lcm D; Fractions are built for
+    the returned terms only.
     """
-    from .commuting import in_tc2
+    from .commuting import _finite_weight, _in_tpre
 
-    if not in_tc2(a, b):
+    if a.n != 2 or b.n != 2:
+        raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
+    (av, bv), d = _int_grids(a.rows, b.rows)
+    targets = _finite_weight([e for g in (av, bv) for row in g for e in row])
+    if not _in_tpre(2, targets).ok:
         raise LiftPreconditionError("pair fails the 2x2 variety membership test")
 
-    av = [[e.value for e in row] for row in a.rows]
-    bv = [[e.value for e in row] for row in b.rows]
     v = bv[0][1] - av[0][1]
     w = [v + av[0][0], v + av[1][1]]
     diag = [bv[0][0], bv[1][1]]
 
     # per-entry requirement on val(alpha): a point, or a ray [w_i, +inf]
-    req: list[Optional[Fraction]] = []
-    rays: list[Fraction] = []
+    req: list[Optional[int]] = []
+    rays: list[int] = []
     for i in (0, 1):
         if diag[i] < w[i]:
             req.append(diag[i])
@@ -332,30 +346,34 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
             req.append(None)
             rays.append(w[i])
     forced = [r for r in req if r is not None]
-    alpha: SeriesPoly
-    if not forced:
-        alpha = SeriesPoly.zero()
-        a_val: Optional[Fraction] = None
-    else:
+    # the terms (scaled exponent, coefficient) of alpha
+    alpha: list[tuple[int, int]] = []
+    if forced:
         if len(forced) == 2 and forced[0] != forced[1]:
             return None
-        a_val = forced[0]
-        if any(a_val < r for r in rays):
+        if any(forced[0] < r for r in rays):
             return None
-        alpha = SeriesPoly.term(1, a_val)
+        alpha = [(forced[0], 1)]
 
     # the diagonal entries u_i of t^v * X; alpha's coefficient is 1, so
     # where diag_i == w_i the entry alpha + u_i never cancels
-    one = Fraction(1)
-    u = [
-        SeriesPoly(((w[i], -one), (diag[i], one))) if diag[i] > w[i] else SeriesPoly.term(one, w[i])
-        for i in (0, 1)
-    ]
-    x01, x10 = SeriesPoly.term(one, av[0][1]), SeriesPoly.term(one, av[1][0])
-    x = SeriesMatrix(((u[0].shift(-v), x01), (x10, u[1].shift(-v))))
+    u = [[(w[i], -1), (diag[i], 1)] if diag[i] > w[i] else [(w[i], 1)] for i in (0, 1)]
+
+    def plus_alpha(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        acc = dict(alpha)
+        for e, c in terms:
+            acc[e] = acc.get(e, 0) + c
+        return sorted((e, c) for e, c in acc.items() if c)
+
+    x01, x10 = [(av[0][1], 1)], [(av[1][0], 1)]
+    xs = [[(e - v, c) for e, c in u[0]], x01, x10, [(e - v, c) for e, c in u[1]]]
     # Y = alpha*I + t^v * X
-    y = SeriesMatrix(((alpha + u[0], x01.shift(v)), (x10.shift(v), alpha + u[1])))
-    check = verify_lift(x, y, a, b)
-    if not check.ok:
+    ys = [plus_alpha(u[0]), [(av[0][1] + v, 1)], [(av[1][0] + v, 1)], plus_alpha(u[1])]
+    if _lift_failures(2, xs + ys, targets):
         return None
-    return x, y
+
+    def matrix(polys: list[list[tuple[int, int]]]) -> SeriesMatrix:
+        entries = [SeriesPoly(tuple((Fraction(e, d), Fraction(c)) for e, c in p)) for p in polys]
+        return SeriesMatrix((tuple(entries[:2]), tuple(entries[2:])))
+
+    return matrix(xs), matrix(ys)

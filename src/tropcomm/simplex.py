@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 __all__ = [
     "UnboundedNormalizationError",
-    "null_space_basis",
     "primitive",
     "eliminate",
     "add_pivot",
@@ -83,15 +82,6 @@ def add_pivot(pivots: dict[int, Row], row: Sequence[int]) -> Optional[int]:
             pivots[col] = primitive([a * rc - b * pc for a, b in zip(p, r)])
     pivots[c] = r
     return c
-
-
-def null_space_basis(rows: Sequence[Sequence[int]], dim: int) -> list[Row]:
-    """Exact integer basis of {w : rows . w = 0}, one vector per free column."""
-    pivots: dict[int, Row] = {}
-    for row in rows:
-        add_pivot(pivots, row)
-    free = [c for c in range(dim) if c not in pivots]
-    return [lift_witness([int(f == g) for g in free], pivots, free, dim)[0] for f in free]
 
 
 def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[int, list[int], int]:

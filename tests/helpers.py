@@ -13,7 +13,7 @@ from tropcomm.fan import _Node
 from tropcomm.polynomials import Monomial, SparsePoly
 from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
-from tropcomm.simplex import eliminate, null_space_basis, strict_feasibility
+from tropcomm.simplex import add_pivot, eliminate, lift_witness, strict_feasibility
 
 
 def M(rows) -> TropMatrix:
@@ -397,6 +397,20 @@ def random_prevariety_2x2_pair(rng: random.Random) -> tuple[TropMatrix, TropMatr
     return a, b
 
 
+def tpre2_point(rng: random.Random, ties: tuple[int, ...]) -> tuple[TropMatrix, TropMatrix]:
+    """A 2x2 pair on the exchange hyperplane a12 + b21 == a21 + b12 whose
+    four weights (b11, b22, v+a11, v+a22), v = b12 - a12, attain their
+    minimum exactly at the indices in ``ties`` (two or more, so the pair is
+    in Tpre2).  Entries have mixed denominators."""
+    def r() -> Fraction:
+        return Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+
+    a12, a21, b12, low = r(), r(), r(), r()
+    v = b12 - a12
+    b11, b22, w1, w2 = (low if t in ties else low + abs(r()) + Fraction(1, 5) for t in range(4))
+    return M([[w1 - v, a12], [a21, w2 - v]]), M([[b11, b12], [a21 + v, b22]])
+
+
 def raw_strict_feasibility(eqs, stricts, dim: int):
     """``strict_feasibility`` on an unreduced system {eqs . w = 0, stricts . w < 0}:
     reduced as the fan enumerator reduces a prefix (None when the reduction
@@ -405,6 +419,15 @@ def raw_strict_feasibility(eqs, stricts, dim: int):
     if node is None:
         return None
     return strict_feasibility(node.pivots, list(node.stricts), dim)
+
+
+def null_space_basis(rows, dim: int) -> list[tuple[int, ...]]:
+    """Exact integer basis of {w : rows . w = 0}, one vector per free column."""
+    pivots: dict[int, tuple[int, ...]] = {}
+    for row in rows:
+        add_pivot(pivots, row)
+    free = [c for c in range(dim) if c not in pivots]
+    return [lift_witness([int(f == g) for g in free], pivots, free, dim)[0] for f in free]
 
 
 def lineality_basis(gens, dim: int) -> list[tuple[int, ...]]:

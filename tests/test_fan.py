@@ -3,6 +3,7 @@
 import hashlib
 import multiprocessing
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,19 @@ def test_empty_generators():
     assert lin == 5
     # no basis is built: a million coordinates cost nothing
     assert lineality_dim([], 10 ** 6) == 10 ** 6
+
+
+def test_empty_generators_share_one_zero():
+    # the witness of the one cell repeats one Fraction(0): its tuple of 10^6
+    # pointers is 8 MB, where 10^6 separate zeros took 56.7 MB
+    tracemalloc.start()
+    try:
+        (cell,) = enumerate_cells([], 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cell.pattern == () and cell.dim == 10 ** 6 and set(cell.witness) == {0}
+    assert peak < 12 * 2 ** 20, peak
 
 
 def test_budget_guard_for_full_3x3():

@@ -5,40 +5,58 @@ ints and converts back; the results must be the same values, so their
 ``repr`` must be identical to the oracles' (see ``tests/helpers.py``).
 """
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tropcomm import (
     INF,
+    LiftPreconditionError,
     NegativeCycleError,
+    NonMembershipCertificate,
     NotPolytropeError,
     SizeMismatchError,
     TropMatrix,
     TropVector,
+    classify_pair,
     classify_polytrope_pair,
     commutes,
+    in_tc2,
     is_polytrope,
     kleene_star,
+    lift_2x2,
     mat_vec,
     random_polytrope,
     trop_mul,
+    val_matrix,
+    verify_lift,
+    weight_of_pair,
 )
-from tropcomm.core import _lcm_scale
-from tropcomm.series import SeriesMatrix, SeriesPoly, _sum_of_products
+from tropcomm import commuting
+from tropcomm.commuting import evaluate_tropically
+from tropcomm.core import TropScalar, _lcm_scale
+from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, _sum_of_products
 
 from helpers import (
+    S31_A,
+    S31_B,
     fraction_sum_of_products,
+    fraction_verify_lift,
     scalar_classify_polytrope_pair,
     scalar_is_polytrope,
     scalar_kleene_star,
     scalar_mat_vec,
     scalar_trop_mul,
     scaled_commuting_polytropes,
+    tpre2_point,
 )
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12, 100)
+PAIR_PATH_DIGEST = "c1d8e056284ded32f07deb534dbe5138c2a8c8fd007e84dbe59ed613801ed977"
 
 
 def mixed_value(rng: random.Random, lo: int, hi: int, inf_rate: float):
@@ -188,3 +206,167 @@ def test_series_product_cancels_to_zero():
     k = SeriesPoly.from_terms([(Fraction(1, 2), Fraction(-3, 2)), (Fraction(1, 3), 1)])
     pairs = [(f, g), (h, k)]
     assert _sum_of_products(pairs) == fraction_sum_of_products(pairs) == SeriesPoly.zero()
+
+
+# ---------------------------------------------------------------------------
+# the pair path: classify_pair, lift_2x2 and verify_lift on one scaling
+# ---------------------------------------------------------------------------
+
+TIE_SETS_2X2 = tuple(s for size in (2, 3, 4) for s in combinations(range(4), size))
+
+
+def _random_pair(rng: random.Random, n: int, kind: int) -> tuple[TropMatrix, TropMatrix]:
+    """Entries 0..4 (the ``sample`` defaults), mixed denominators, or 0..1
+    (many ties; for n = 2 a Tpre2 point instead)."""
+    if kind == 2 and n == 2:
+        return tpre2_point(rng, rng.choice(TIE_SETS_2X2))
+
+    def entry():
+        if kind == 1:
+            return Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS))
+        return rng.randint(0, 4 if kind == 0 else 1)
+
+    return tuple(TropMatrix.of([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(2))
+
+
+def _tampered(rng: random.Random, m: SeriesMatrix, exponent: bool) -> SeriesMatrix:
+    """m with one term of one nonzero entry changed: its exponent raised by
+    1/2, or its coefficient raised by 1 (by 2 when that would cancel it)."""
+    spots = [(i, j) for i, row in enumerate(m.rows) for j, s in enumerate(row) if s]
+    i, j = rng.choice(spots)
+    terms = list(m.rows[i][j].terms)
+    k = rng.randrange(len(terms))
+    e, c = terms[k]
+    terms[k] = (e + Fraction(1, 2), c) if exponent else (e, c + (2 if c == -1 else 1))
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = SeriesPoly.from_terms(terms)
+    return SeriesMatrix(tuple(tuple(row) for row in rows))
+
+
+def _pair_path_outputs() -> list:
+    rng = random.Random(1301)
+    out = []
+    for n in (3, 2):
+        for trial in range(240):
+            out.append(classify_pair(*_random_pair(rng, n, trial % 3), deep=False))
+    for _ in range(6):
+        for ties in TIE_SETS_2X2:
+            a, b = tpre2_point(rng, ties)
+            lift = lift_2x2(a, b)
+            out.append((classify_pair(a, b, deep=False), lift, verify_lift(*lift, a, b)))
+            x, y = lift
+            for exponent in (False, True):
+                out.append(verify_lift(_tampered(rng, x, exponent), y, a, b))
+                out.append(verify_lift(x, _tampered(rng, y, exponent), a, b))
+    return out
+
+
+def test_pair_path_is_pinned():
+    """sha256 of repr of classify_pair(deep=False) on seeded 3x3 and 2x2
+    pairs, lift_2x2 and verify_lift on Tpre2 points of all 11 tie sets, and
+    verify_lift on lifts with one coefficient or exponent changed.  The
+    digest was taken from the Fraction evaluation these queries replaced."""
+    out = _pair_path_outputs()
+    kinds = Counter(getattr(o, "tc_status", None) for o in out[:480])
+    assert kinds["in"] and kinds["out"] and kinds["certified-out"] and kinds["unknown"], kinds
+    assert sum(isinstance(o, LiftCheck) and not o.ok for o in out) == 6 * 11 * 4
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == PAIR_PATH_DIGEST
+
+
+def test_certificate_values_match_exact_evaluation(monkeypatch):
+    """For each witness_family member alone, _certify's int term values give
+    the argmin, minimum and runner-up of evaluate_tropically on Fractions."""
+    family = commuting._family_supports()
+    rng = random.Random(1303)
+    seen = Counter()
+    for trial in range(45):
+        a, b = _random_pair(rng, 3, trial % 3)
+        w = weight_of_pair(a, b)
+        iw, d = _lcm_scale(w)
+        for member in family:
+            monkeypatch.setattr(commuting, "_family_supports", lambda m=member: (m,))
+            got = commuting._certify(a, b, iw, d, deep=False)
+            ev = evaluate_tropically(member[1], w)
+            kind = member[0][:3] if member[0].startswith("deg") else "gen"
+            if len(ev.argmin) == 1:
+                want = (member[0], member[1], ev.argmin[0], ev.min_value, ev.runner_up)
+                assert repr(got) == repr(NonMembershipCertificate(*want))
+                seen[kind, "unique"] += 1
+            else:
+                assert got is None
+                seen[kind, "tied"] += 1
+    assert all(seen[kind, s] >= 50 for kind in ("gen", "deg") for s in ("unique", "tied")), seen
+
+
+def _commuting_3x3_lift(rng: random.Random) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """X with random entries and Y = X*X + t^e X, a polynomial in X, so they
+    commute; Y is formed by the Fraction loop of the oracle."""
+    x = SeriesMatrix(tuple(tuple(random_series(rng) for _ in range(3)) for _ in range(3)))
+    shift = SeriesPoly.term(1, Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))))
+    y = SeriesMatrix(tuple(
+        tuple(fraction_sum_of_products([(x[i, k], x[k, j]) for k in range(3)] + [(shift, x[i, j])])
+              for j in range(3))
+        for i in range(3)
+    ))
+    return x, y
+
+
+def _off_target(rng: random.Random, m: TropMatrix) -> TropMatrix:
+    """m with one entry moved by 1/11 (a denominator no exponent has), a
+    finite one now and then set to +inf."""
+    rows = [list(row) for row in m.rows]
+    i, j = rng.randrange(m.n), rng.randrange(m.n)
+    e = rows[i][j]
+    if e.is_finite and rng.random() < 0.3:
+        rows[i][j] = INF
+    else:
+        rows[i][j] = TropScalar((e.value if e.is_finite else 0) + Fraction(1, 11))
+    return TropMatrix(tuple(tuple(row) for row in rows))
+
+
+def test_verify_lift_matches_fraction_oracle_on_lifts():
+    rng = random.Random(1307)
+    seen = Counter()
+    lifts = []
+    for ties in TIE_SETS_2X2 * 4:
+        a, b = tpre2_point(rng, ties)
+        lifts.append((*lift_2x2(a, b), a, b))
+    for _ in range(12):
+        x, y = _commuting_3x3_lift(rng)
+        lifts.append((x, y, val_matrix(x), val_matrix(y)))
+    for x, y, a, b in lifts:
+        cases = [(x, y, a, b), (x, y, _off_target(rng, a), b), (x, y, a, _off_target(rng, b))]
+        cases += [(_tampered(rng, x, e), y, a, b) for e in (False, True) if any(s for r in x.rows for s in r)]
+        cases += [(x, _tampered(rng, y, e), a, b) for e in (False, True) if any(s for r in y.rows for s in r)]
+        for k, case in enumerate(cases):
+            got = verify_lift(*case)
+            assert got == fraction_verify_lift(*case)
+            assert got.ok == (k == 0), (k, got)
+            seen[f"{x.n}x{x.n}"] += 1
+            seen.update(kind for kind, _ in got.failures)
+    assert seen["2x2"] >= 300 and seen["3x3"] >= 80, seen
+    assert seen["commutation"] >= 100 and seen["valuation-X"] >= 40 and seen["valuation-Y"] >= 40, seen
+
+
+def test_lift_2x2_raises_in_the_order_of_in_tc2():
+    """A size other than 2x2, then a +inf entry, then a point off Tpre2;
+    each input below also has every later fault."""
+    off3 = TropMatrix.of([[0, 1, "inf"], [0, 0, 0], [0, 0, 0]])
+    off2 = TropMatrix.of([[0, 1], ["inf", 0]])
+    cases = [
+        ((off3, off3), SizeMismatchError),
+        ((S31_A, off3), SizeMismatchError),
+        ((off2, S31_B), ValueError),
+        ((S31_A, S31_B), LiftPreconditionError),
+    ]
+    for (a, b), error in cases:
+        with pytest.raises(ValueError) as raised:
+            lift_2x2(a, b)
+        assert raised.type is error, (a, b)
+        if error is LiftPreconditionError:
+            assert in_tc2(a, b) is False
+        else:
+            with pytest.raises(error) as raised:
+                in_tc2(a, b)
+            assert raised.type is error, (a, b)
