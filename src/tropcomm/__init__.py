@@ -49,12 +49,12 @@ from .commuting import (
     certify_not_in_tc3,
     classify_pair,
     commutator_entry,
+    evaluate_tropically,
     generators,
     in_tc2,
     in_tpre,
     in_ts,
     symmetric_generators,
-    trop_satisfied,
     weight_of_pair,
     witness_deg3,
     witness_deg4,

@@ -127,7 +127,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _generators_from_file(path: str) -> tuple[list[SparsePoly], int, tuple[str, ...]]:
+def _generators_from_file(path: str) -> tuple[list[SparsePoly], int]:
     obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
         raise MatrixFormatError('expected {"dimension": D, "generators": [...]}')
@@ -146,22 +146,26 @@ def _generators_from_file(path: str) -> tuple[list[SparsePoly], int, tuple[str, 
                 raise MatrixFormatError(f"generator {gi}: bad term {t!r}")
             parsed.append((tuple(e), c))
         gens.append(SparsePoly.from_terms(parsed))
-    names = obj.get("variables", [f"z{i}" for i in range(dim)])
-    if not isinstance(names, list) or len(names) != dim or not all(isinstance(x, str) for x in names):
-        raise MatrixFormatError("variables must be a list of dimension names")
-    return gens, dim, tuple(names)
+    if "variables" in obj:
+        names = obj["variables"]
+        if not isinstance(names, list) or len(names) != dim or not all(isinstance(x, str) for x in names):
+            raise MatrixFormatError("variables must be a list of dimension names")
+    return gens, dim
 
 
 def cmd_fan(args: argparse.Namespace) -> int:
     if args.config.endswith(".json"):
-        gens, dim, names = _generators_from_file(args.config)
-        label = args.config
+        # a file's variable names are only checked: --orbits needs symmetric:n=3
+        gens, dim = _generators_from_file(args.config)
+        label, names = args.config, ()
     else:
         cfg = fan_mod.named_config(args.config)
         gens, dim, names = list(cfg.gens), cfg.dim, cfg.names
         label = cfg.name
     if args.budget < 1:
         return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
+    if args.jobs < 1:
+        return _fail(EXIT_PARSE, f"--jobs must be >= 1, not {args.jobs}")
     if args.orbits and label != "symmetric:n=3":
         return _fail(EXIT_UNSUPPORTED, "--orbits needs the symmetric:n=3 configuration")
     lin = fan_mod.lineality_dim(gens, dim)
@@ -355,7 +359,7 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
 def cmd_svg(args: argparse.Namespace) -> int:
     mats = [matrix_from_json(load_json(p)) for p in args.matrices]
     try:
-        doc = render_polytrope_svg(mats, None)
+        doc = render_polytrope_svg(mats)
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
     if _write(args.output, doc.text):

@@ -7,6 +7,10 @@ and prevariety, and searches for non-membership certificates for the n=3
 tropical commuting variety: polynomials of the ideal whose minimum at a
 given weight is attained by a unique term.  The homogeneity (lineality)
 space is counted by :func:`tropcomm.fan.lineality_dim`.
+
+Every decision reads the term values at the weight scaled to ints by the
+lcm of its denominators (:func:`_term_values`); :func:`evaluate_tropically`
+gives the same minima on Fractions for callers that want them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
     "symmetric_generators",
     "weight_of_pair",
     "evaluate_tropically",
-    "trop_satisfied",
     "in_ts",
     "in_tpre",
     "in_tc2",
@@ -193,19 +196,6 @@ def evaluate_tropically(f: SparsePoly, w: WeightVector) -> TropEvaluation:
     )
 
 
-def trop_satisfied(f: SparsePoly, w: WeightVector) -> tuple[bool, TropEvaluation]:
-    """Is the minimum term weight attained at least twice?"""
-    ev = evaluate_tropically(f, w)
-    return ev.satisfied, ev
-
-
-def _min_attained_twice(support: Support, iw: Sequence[int]) -> bool:
-    """trop_satisfied at the weight w scaled to ints, without building the
-    evaluation."""
-    vals = _term_values(support, iw)
-    return vals.count(min(vals)) >= 2
-
-
 # ---------------------------------------------------------------------------
 # membership tests
 # ---------------------------------------------------------------------------
@@ -229,8 +219,12 @@ def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
 
 def _in_tpre(n: int, iw: Sequence[int]) -> TpreResult:
     """:func:`in_tpre` at the weight scaled to ints."""
-    fails = tuple(label for label, sup in _generator_supports(n) if not _min_attained_twice(sup, iw))
-    return TpreResult(ok=not fails, failures=fails)
+    fails = []
+    for label, sup in _generator_supports(n):
+        vals = _term_values(sup, iw)
+        if vals.count(min(vals)) < 2:
+            fails.append(label)
+    return TpreResult(ok=not fails, failures=tuple(fails))
 
 
 def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
@@ -370,6 +364,24 @@ class NonMembershipCertificate:
         return monomial_str(self.unique_min_monomial, matrix_variables(n))
 
 
+def _unique_min(
+    source: str, f: SparsePoly, vals: Sequence[int], d: int
+) -> Optional[NonMembershipCertificate]:
+    """The certificate of f when the least of its term values ``vals``, at
+    the weight scaled by D = ``d`` (see :func:`_term_values`), is attained
+    by one term and some term is above it; else None."""
+    low = min(vals)
+    if vals.count(low) != 1 or len(vals) == 1:
+        return None
+    return NonMembershipCertificate(
+        source=source,
+        polynomial=f,
+        unique_min_monomial=f.terms[vals.index(low)][0],
+        min_value=Fraction(low, d),
+        runner_up_value=Fraction(min(v for v in vals if v != low), d),
+    )
+
+
 def _code(m: Monomial, base: int) -> int:
     """The exponents of m as the digits of one int in base ``base``."""
     code = 0
@@ -464,8 +476,8 @@ def find_monomial_initial_form(
     first: it inserts again the products of lowest value <= v, carrying
     each row's integer provenance, and reduces the hit's unit vector until
     only columns above v are left.  The provenance is the certificate's
-    combination of products, which must pass the exact unique-argmin check
-    of :func:`evaluate_tropically`.
+    combination of products; its term values, read on the same scaled
+    ints, must have the hit as their unique minimal term.
 
     At the default degree 4 the search is complete: None proves that no
     monomial of degree <= 4 lies in in_w(I) (one of lower degree times a
@@ -474,17 +486,12 @@ def find_monomial_initial_form(
     """
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    w = weight_of_pair(a, b)
-    iw, _ = _lcm_scale(w)
+    iw, d = _lcm_scale(weight_of_pair(a, b))
     base = degree + 1  # no exponent of a degree-d monomial exceeds d
-    level = base ** len(w)  # the columns of value v are [v*level, (v+1)*level)
+    level = base ** len(iw)  # the columns of value v are [v*level, (v+1)*level)
 
-    def key(m: Monomial) -> int:
-        # the column (value, monomial) as one int in the same order; keys
-        # add up under multiplication, as long as the degree stays <= d
-        return sum(k * x for k, x in zip(m, iw)) * level + _code(m, base)
-
-    # the same keys from the cached supports and codes
+    # a column (value, monomial) is the one int value*level + code, in the
+    # same order; keys add up under multiplication while the degree is <= d
     (esup, extras), gcodes = _slice_data(a.n, degree)
     gterms = [[(v * level + code, c) for v, (code, c) in zip(_term_values(sup, iw), terms)]
               for sup, terms in gcodes]
@@ -546,15 +553,10 @@ def find_monomial_initial_form(
         prov = {}
         _reduce({target: 1}, pivots, stop, prov)
         f = SparsePoly.from_terms(t for (m, gi), k in prov.items() for t in gens[gi].mul_monomial(m, k))
-        ev = evaluate_tropically(f, w)
-        if len(ev.argmin) == 1 and ev.runner_up is not None and key(ev.argmin[0]) == target:
-            return NonMembershipCertificate(
-                source=f"slice[deg={degree}]",
-                polynomial=f,
-                unique_min_monomial=ev.argmin[0],
-                min_value=ev.min_value,
-                runner_up_value=ev.runner_up,
-            )
+        vals = _term_values(_support(f), iw)
+        cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
+        if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == target:
+            return cert
     return None
 
 
@@ -588,16 +590,9 @@ def _certify(
     """:func:`certify_not_in_tc3` with the weight of the 3x3 pair (A, B)
     already scaled to the ints ``iw``, D = ``d`` times its entries."""
     for label, f, support in _family_supports():
-        vals = _term_values(support, iw)
-        low = min(vals)
-        if vals.count(low) == 1 and len(vals) > 1:
-            return NonMembershipCertificate(
-                source=label,
-                polynomial=f,
-                unique_min_monomial=f.terms[vals.index(low)][0],
-                min_value=Fraction(low, d),
-                runner_up_value=Fraction(min(v for v in vals if v != low), d),
-            )
+        cert = _unique_min(label, f, _term_values(support, iw), d)
+        if cert is not None:
+            return cert
     if deep:
         return find_monomial_initial_form(a, b, degree=4)
     return None

@@ -337,12 +337,8 @@ def _int_star(x: IntGrid) -> IntGrid:
 def trop_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Entrywise min."""
     _check_sizes(a, b)
-    return TropMatrix(
-        tuple(
-            tuple(a.rows[i][j].min(b.rows[i][j]) for j in range(a.n))
-            for i in range(a.n)
-        )
-    )
+    (x, y), d = _int_grids(a.rows, b.rows)
+    return _from_int_grid(_int_min(x, y), d)
 
 
 def trop_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:

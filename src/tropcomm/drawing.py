@@ -116,7 +116,7 @@ class SvgDocument:
     intersection_vertices: tuple[Point, ...]
 
 
-def render_polytrope_svg(matrices: list[TropMatrix], path: str | None) -> SvgDocument:
+def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
     """Draw column points, tropical hull edges, and image regions as SVG 1.1.
 
     Every matrix must be 3x3 with finite entries.  Regions are drawn from the
@@ -202,13 +202,8 @@ def render_polytrope_svg(matrices: list[TropMatrix], path: str | None) -> SvgDoc
             )
         out.append("  </g>")
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return SvgDocument(
-        text=text,
+        text="\n".join(out) + "\n",
         point_count=n_points,
         region_vertex_counts=tuple(region_counts),
         intersection_vertices=inter,

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
-    INF,
     ZERO,
     IntGrid,
     SizeMismatchError,
@@ -29,7 +28,6 @@ from .core import (
     _int_scalar,
     _int_star,
     kleene_star,
-    mat_vec,
     normalize_tp,
     trop_mul,  # noqa: F401 -- a boundary perfbench/layers.py wraps by name
 )
@@ -191,29 +189,18 @@ def preimage(a: TropMatrix, b: TropVector) -> PreimageDescription:
     """Describe {x : A@x = b} for a polytrope A and b in im(A).
 
     Direction j is free exactly when deleting coordinate j still covers b:
-    for every row k, min over i != j of (a[k][i] + b[i]) equals b[k].
+    for every row k, min over i != j of (a[k][i] + b[i]) equals b[k].  A and
+    b are scaled to ints once; deleting coordinate j is setting b[j] to +inf.
     """
-    if not is_polytrope(a):
+    (x, (v,)), _ = _int_grids(a.rows, (b.entries,))
+    if not _int_polytrope(x):
         raise NotPolytropeError("preimage requires a polytrope")
-    if mat_vec(a, b) != b:
+    if a.n != b.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    col = [[e] for e in v]
+    if _int_mul(x, col) != col:
         raise NotInImageError("A @ b != b, so b is not in the image of A")
-    n = a.n
-    free = []
-    for j in range(n):
-        ok = True
-        for k in range(n):
-            best = INF
-            for i in range(n):
-                if i == j:
-                    continue
-                v = a.rows[k][i] + b[i]
-                if v < best:
-                    best = v
-            if best != b[k]:
-                ok = False
-                break
-        if ok:
-            free.append(j + 1)
+    free = [j + 1 for j in range(a.n) if _int_mul(x, col[:j] + [[None]] + col[j + 1:]) == col]
     return PreimageDescription(base=b, free_directions=frozenset(free))
 
 
@@ -232,19 +219,12 @@ def star_image_contains(star: TropMatrix, x: TropVector) -> bool:
 
     Requires x finite; M must satisfy M == M* (not checked).
     """
-    n = star.n
-    if x.n != n:
-        raise SizeMismatchError(f"size mismatch: {n} vs {x.n}")
-    if not all(e.is_finite for e in x):
+    if x.n != star.n:
+        raise SizeMismatchError(f"size mismatch: {star.n} vs {x.n}")
+    (m, (v,)), _ = _int_grids(star.rows, (x.entries,))
+    if None in v:
         return False
-    for i in range(n):
-        for j in range(n):
-            m = star.rows[i][j]
-            if not m.is_finite:
-                continue
-            if x[i].value - x[j].value > m.value:  # type: ignore[operator]
-                return False
-    return True
+    return all(mij is None or vi - vj <= mij for row, vi in zip(m, v) for mij, vj in zip(row, v))
 
 
 def random_premetric(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .commuting import _finite_weight, _in_tpre
 from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _int_grids, _lcm_scale
 
 __all__ = [
@@ -83,10 +84,6 @@ class SeriesPoly:
         return format_series(self)
 
 
-def _fmt_frac(q: Fraction) -> str:
-    return str(q)
-
-
 def _fmt_exp(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"({e})"
 
@@ -99,10 +96,10 @@ def format_series(s: SeriesPoly) -> str:
         sign = "-" if c < 0 else ("+" if i else "")
         mag = abs(c)
         if e == 0:
-            body = _fmt_frac(mag)
+            body = str(mag)
         else:
             tpart = "t" if e == 1 else f"t^{_fmt_exp(e)}"
-            body = tpart if mag == 1 else f"{_fmt_frac(mag)}*{tpart}"
+            body = tpart if mag == 1 else f"{mag}*{tpart}"
         chunks.append(f"{sign} {body}".strip() if i else f"{sign}{body}")
     return " ".join(chunks)
 
@@ -321,8 +318,6 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     entries of a and b scaled to ints by one lcm D; Fractions are built for
     the returned terms only.
     """
-    from .commuting import _finite_weight, _in_tpre
-
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
     (av, bv), d = _int_grids(a.rows, b.rows)

@@ -7,11 +7,17 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 
-from tropcomm import TropMatrix, TropVector, commutator_entry, trop_add
+from tropcomm import TropMatrix, TropVector, commutator_entry
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
 from tropcomm.fan import _Node
 from tropcomm.polynomials import Monomial, SparsePoly
-from tropcomm.polytrope import CommutClassification, NotPolytropeError, first_difference
+from tropcomm.polytrope import (
+    CommutClassification,
+    NotInImageError,
+    NotPolytropeError,
+    PreimageDescription,
+    first_difference,
+)
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, val_matrix
 from tropcomm.simplex import add_pivot, eliminate, lift_witness, strict_feasibility
 
@@ -84,7 +90,7 @@ def star_power_sum(a: TropMatrix) -> TropMatrix:
     out = TropMatrix.identity(a.n)
     power = a
     for _ in range(a.n):
-        out = trop_add(out, power)
+        out = scalar_trop_add(out, power)
         power = scalar_trop_mul(power, a)
     return out
 
@@ -113,6 +119,14 @@ def scalar_trop_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     ))
 
 
+def scalar_trop_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    if a.n != b.n:
+        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    return TropMatrix(tuple(
+        tuple(a.rows[i][j].min(b.rows[i][j]) for j in range(a.n)) for i in range(a.n)
+    ))
+
+
 def scalar_mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     if a.n != x.n:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {x.n}")
@@ -134,7 +148,7 @@ def scalar_kleene_star(a: TropMatrix) -> TropMatrix:
     for i in range(n):
         if d[i][i] < ZERO:
             raise NegativeCycleError("negative-weight cycle; star diverges")
-    return trop_add(TropMatrix.identity(n), TropMatrix(tuple(tuple(r) for r in d)))
+    return scalar_trop_add(TropMatrix.identity(n), TropMatrix(tuple(tuple(r) for r in d)))
 
 
 def scalar_is_polytrope(a: TropMatrix) -> bool:
@@ -149,12 +163,53 @@ def scalar_is_polytrope(a: TropMatrix) -> bool:
     )
 
 
+def scalar_preimage(a: TropMatrix, b: TropVector) -> PreimageDescription:
+    if not scalar_is_polytrope(a):
+        raise NotPolytropeError("preimage requires a polytrope")
+    if scalar_mat_vec(a, b) != b:
+        raise NotInImageError("A @ b != b, so b is not in the image of A")
+    n = a.n
+    free = []
+    for j in range(n):
+        ok = True
+        for k in range(n):
+            best = INF
+            for i in range(n):
+                if i == j:
+                    continue
+                v = a.rows[k][i] + b[i]
+                if v < best:
+                    best = v
+            if best != b[k]:
+                ok = False
+                break
+        if ok:
+            free.append(j + 1)
+    return PreimageDescription(base=b, free_directions=frozenset(free))
+
+
+def scalar_star_image_contains(star: TropMatrix, x: TropVector) -> bool:
+    n = star.n
+    if x.n != n:
+        raise SizeMismatchError(f"size mismatch: {n} vs {x.n}")
+    if not all(e.is_finite for e in x):
+        return False
+    for i in range(n):
+        for j in range(n):
+            m = star.rows[i][j]
+            if not m.is_finite:
+                continue
+            if x[i].value - x[j].value > m.value:
+                return False
+    return True
+
+
 def scalar_classify_polytrope_pair(a: TropMatrix, b: TropMatrix) -> CommutClassification:
     if not (scalar_is_polytrope(a) and scalar_is_polytrope(b)):
         raise NotPolytropeError("both inputs must be polytropes")
     ab = scalar_trop_mul(a, b)
     ba = scalar_trop_mul(b, a)
-    s = trop_add(a, b)
+    s = scalar_trop_add(a, b)
     star = scalar_kleene_star(s)
     square = scalar_trop_mul(s, s)
 

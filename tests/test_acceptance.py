@@ -39,7 +39,6 @@ from tropcomm import (
     named_config,
     trop_add,
     trop_mul,
-    trop_satisfied,
     verify_lift,
     weight_of_pair,
     witness_deg4,
@@ -167,8 +166,8 @@ def test_criterion_4_golden_examples(capsys):
         failures.append("3x3 one-sided product pair (2.79 vs 5.04)")
 
     g11 = generators(2)[0]
-    ok_g11, ev = trop_satisfied(g11, weight_of_pair(S31_A, S31_B))
-    if not (in_ts(S31_A, S31_B) and not ok_g11
+    ev = evaluate_tropically(g11, weight_of_pair(S31_A, S31_B))
+    if not (in_ts(S31_A, S31_B) and not ev.satisfied
             and sorted(v for _, v in ev.values) == [2, 3]):
         failures.append("2x2 pair commutes but fails g11 (3 vs 2)")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,10 @@ def test_fan_rejects_budget_option_below_one(capsys, value):
     assert code == 0
     code, _, err = run(capsys, "fan", "commuting:n=2", "--budget", "10")
     assert code == 4 and "budget of 10" in err
+    # --jobs below 1 is refused before any work: the budget guard is not reached
+    code, out, err = run(capsys, "fan", "commuting:n=3", "--jobs", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--jobs" in err and value in err
 
 
 def test_fan_orbits_need_the_symmetric_configuration(capsys):
@@ -177,6 +182,22 @@ def test_fan_lineality_builds_no_basis(tmp_path, capsys):
     report = json.loads(out)
     assert report["lineality_dim"] == 100000
     assert report["f_vector"] == [1]
+
+
+def test_fan_builds_no_default_variable_names(tmp_path, capsys):
+    """A file's variable names are never read, so none are made up: with
+    10^6 default names the peak was 69 MB.  What stays is the one cell's
+    witness, a tuple of 10^6 pointers to one zero (8 MB)."""
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"dimension": 10 ** 6, "generators": []}))
+    tracemalloc.start()
+    try:
+        code = main(["fan", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["lineality_dim"] == 10 ** 6
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_sample_ts_minus_tpre(capsys):

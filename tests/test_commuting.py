@@ -13,13 +13,13 @@ from tropcomm import (
     certify_not_in_tc3,
     classify_pair,
     commutator_entry,
+    evaluate_tropically,
     generators,
     in_tc2,
     in_tpre,
     in_ts,
     lineality_dim,
     symmetric_generators,
-    trop_satisfied,
     weight_of_pair,
     witness_deg3,
     witness_deg4,
@@ -96,19 +96,19 @@ def test_symmetric_generators_match_display():
 def test_trop_satisfied_reports():
     g11 = generators(2)[0]
     w = weight_of_pair(S31_A, S31_B)
-    ok, ev = trop_satisfied(g11, w)
-    assert not ok
+    ev = evaluate_tropically(g11, w)
+    assert not ev.satisfied
     assert sorted(v for _, v in ev.values) == [2, 3]
 
-    ok, ev = trop_satisfied(g11, weight_of_pair(TC2_A, TC2_B))
-    assert ok
+    ev = evaluate_tropically(g11, weight_of_pair(TC2_A, TC2_B))
+    assert ev.satisfied
     assert ev.min_value == 5  # 4+1 == 2+3
 
     # at an all-ties weight every term ties
     w0 = tuple(Fraction(0) for _ in range(8))
     for g in generators(2):
-        ok, ev = trop_satisfied(g, w0)
-        assert ok and len(ev.argmin) == len(g)
+        ev = evaluate_tropically(g, w0)
+        assert ev.satisfied and len(ev.argmin) == len(g)
 
 
 def test_in_ts_on_separating_pairs():
@@ -167,8 +167,8 @@ def test_homogeneity_points_tie_every_generator_and_witness():
     w = tuple(w)
     assert _in_homogeneity_space(w, 3)
     for _, f in witness_family():
-        ok, ev = trop_satisfied(f, w)
-        assert ok and len(ev.argmin) == len(f)
+        ev = evaluate_tropically(f, w)
+        assert ev.satisfied and len(ev.argmin) == len(f)
 
 
 def test_homogeneity_dimension_by_rank():
@@ -284,8 +284,8 @@ def _deep_only_certificate(a, b):
     # no monomial lies in I, so moving one coefficient leaves the ideal
     assert not in_ideal_slice(cert.polynomial + SparsePoly(((cert.unique_min_monomial, 1),)), 3, 4)
     w = weight_of_pair(a, b)
-    ok, ev = trop_satisfied(cert.polynomial, w)
-    assert not ok and ev.argmin == (cert.unique_min_monomial,)
+    ev = evaluate_tropically(cert.polynomial, w)
+    assert not ev.satisfied and ev.argmin == (cert.unique_min_monomial,)
     assert ev.min_value == cert.min_value and ev.runner_up == cert.runner_up_value
     return cert
 

@@ -73,20 +73,16 @@ def test_hexagonal_intersection_exists():
     assert len(intersection_region_vertices(a, b)) == 6
 
 
-def test_svg_structure_single_polytrope(tmp_path):
-    out = tmp_path / "one.svg"
-    doc = render_polytrope_svg([EX7_A], str(out))
-    text = out.read_text()
-    assert text == doc.text
+def test_svg_structure_single_polytrope():
+    text = render_polytrope_svg([EX7_A]).text
     assert text.count("<circle") == 3
     assert text.count("<polyline") == 3
     assert 'class="region"' in text
     assert "<svg" in text and 'version="1.1"' in text
 
 
-def test_svg_two_polytropes_have_distinct_styles(tmp_path):
-    out = tmp_path / "two.svg"
-    doc = render_polytrope_svg([EX7_A, EX7_B], str(out))
+def test_svg_two_polytropes_have_distinct_styles():
+    doc = render_polytrope_svg([EX7_A, EX7_B])
     text = doc.text
     assert 'class="polytrope-0"' in text and 'class="polytrope-1"' in text
     assert text.count("<circle") == 6
@@ -94,19 +90,19 @@ def test_svg_two_polytropes_have_distinct_styles(tmp_path):
     assert len(doc.intersection_vertices) == 5
 
 
-def test_svg_deterministic(tmp_path):
-    a = render_polytrope_svg([EX7_A, EX7_B], None)
-    b = render_polytrope_svg([EX7_A, EX7_B], None)
+def test_svg_deterministic():
+    a = render_polytrope_svg([EX7_A, EX7_B])
+    b = render_polytrope_svg([EX7_A, EX7_B])
     assert a.text == b.text
 
 
-def test_svg_rejects_bad_input(tmp_path):
+def test_svg_rejects_bad_input():
     with pytest.raises(ValueError):
-        render_polytrope_svg([], None)
+        render_polytrope_svg([])
     with pytest.raises(ValueError):
-        render_polytrope_svg([TropMatrix.identity(3)], None)
+        render_polytrope_svg([TropMatrix.identity(3)])
     with pytest.raises(ValueError):
-        render_polytrope_svg([TropMatrix.of([[0, 1], [1, 0]])], None)
+        render_polytrope_svg([TropMatrix.of([[0, 1], [1, 0]])])
 
 
 def test_segments_stay_in_the_image():

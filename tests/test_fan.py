@@ -13,13 +13,13 @@ from tropcomm import (
     Cell,
     fan,
     enumerate_cells,
+    evaluate_tropically,
     f_vector,
     generators,
     lineality_dim,
     maximal_cell_orbits,
     named_config,
     symmetric_generators,
-    trop_satisfied,
 )
 from tropcomm.fan import (
     KNOWN_FVECTOR_PREVARIETY_3_FULL,
@@ -97,8 +97,6 @@ def test_enumerate_n2():
     assert fv.lineality_dim == 4
     assert fv.counts == (1, 4, 6)
     # soundness: every witness realizes its cell's pattern exactly
-    from tropcomm.commuting import evaluate_tropically
-
     for c in cells:
         for g, sub in zip(gens, c.pattern):
             ev = evaluate_tropically(g, c.witness)
@@ -133,8 +131,8 @@ def test_random_points_land_in_enumerated_cells():
         pattern = []
         in_prevariety = True
         for g in gens:
-            ok, ev = trop_satisfied(g, w)
-            if not ok:
+            ev = evaluate_tropically(g, w)
+            if not ev.satisfied:
                 in_prevariety = False
                 break
             vals = [v for _, v in ev.values]
@@ -174,6 +172,24 @@ def test_empty_generators_share_one_zero():
         tracemalloc.stop()
     assert cell.pattern == () and cell.dim == 10 ** 6 and set(cell.witness) == {0}
     assert peak < 12 * 2 ** 20, peak
+
+
+def test_cell_check_does_not_grow_with_the_degree():
+    """_verify_cell reads a term's value from its exponent vector, so a
+    generator of degree 10^6 costs what one of degree 1 costs.  A support
+    that lists a variable once per unit of exponent, as the certificate
+    search's term values do, would hold 10^6 entries per term here."""
+    big = SparsePoly.from_terms([((10 ** 6, 0), 1), ((0, 10 ** 6), -1), ((1, 1), 1)])
+    tracemalloc.start()
+    try:
+        cells = enumerate_cells([big], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.pattern, c.dim) for c in cells] == [
+        (((0, 1),), 1), (((0, 1, 2),), 0), (((0, 2),), 1), (((1, 2),), 1)
+    ]
+    assert peak < 2 ** 20, peak
 
 
 def test_budget_guard_for_full_3x3():

@@ -30,7 +30,10 @@ from tropcomm import (
     kleene_star,
     lift_2x2,
     mat_vec,
+    preimage,
     random_polytrope,
+    star_image_contains,
+    trop_add,
     trop_mul,
     val_matrix,
     verify_lift,
@@ -50,6 +53,9 @@ from helpers import (
     scalar_is_polytrope,
     scalar_kleene_star,
     scalar_mat_vec,
+    scalar_preimage,
+    scalar_star_image_contains,
+    scalar_trop_add,
     scalar_trop_mul,
     scaled_commuting_polytropes,
     tpre2_point,
@@ -95,6 +101,7 @@ def test_products_and_actions_match_scalar_loops(n):
         a, b = mixed_matrix(rng, n), mixed_matrix(rng, n)
         x = TropVector.of([mixed_value(rng, -20, 40, 0.2) for _ in range(n)])
         assert repr(trop_mul(a, b)) == repr(scalar_trop_mul(a, b))
+        assert repr(trop_add(a, b)) == repr(scalar_trop_add(a, b))
         assert repr(mat_vec(a, x)) == repr(scalar_mat_vec(a, x))
         assert commutes(a, b) == (scalar_trop_mul(a, b) == scalar_trop_mul(b, a))
 
@@ -161,6 +168,50 @@ def test_polytrope_exception_order():
             oracle(p2, p3)
         with pytest.raises(NotPolytropeError):
             oracle(p2, not_p3)
+
+
+def mixed_polytrope(rng: random.Random, n: int) -> TropMatrix:
+    """The Kleene star of a premetric with mixed denominators."""
+    return kleene_star(TropMatrix.of(
+        [[0 if i == j else mixed_value(rng, 1, 40, 0) for j in range(n)] for i in range(n)]
+    ))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_image_tests_match_scalar_loops(n):
+    """preimage and star_image_contains against the TropScalar loops they
+    replaced, on polytropes and stars with mixed denominators (the stars
+    with +inf entries), non-polytropes, points of the image, points outside
+    it, vectors with a +inf entry and vectors of another size.  The faults
+    combine, so the exceptions must also come in the same order."""
+    rng = random.Random(1000 + n)
+    seen = Counter()
+    for _ in range(40):
+        p = mixed_polytrope(rng, n)
+        star = kleene_star(mixed_matrix(rng, n, lo=0))
+        inside = mat_vec(p, TropVector.of([mixed_value(rng, -20, 40, 0) for _ in range(n)]))
+        with_inf = TropVector(inside.entries[:-1] + (INF,))
+        vectors = (
+            inside,
+            with_inf,
+            TropVector((INF,) * n),
+            TropVector.of([mixed_value(rng, -20, 40, 0.2) for _ in range(n)]),
+            TropVector(inside.entries + (inside[0],)),
+        )
+        for m in (p, star, mixed_matrix(rng, n, lo=-2, hi=30, inf_rate=0.05)):
+            for x in vectors:
+                got = outcome(preimage, m, x)
+                assert got == outcome(scalar_preimage, m, x)
+                seen[got if "Error" in got else "free" if "{" in got else "fixed"] += 1
+        for m in (p, star):
+            for x in vectors:
+                got = outcome(star_image_contains, m, x)
+                assert got == outcome(scalar_star_image_contains, m, x)
+                seen["contains", got] += 1
+    kinds = ("NotPolytropeError", "SizeMismatchError", "free", "fixed", ("contains", "True"))
+    if n > 1:
+        kinds += ("NotInImageError", ("contains", "False"))
+    assert all(seen[k] for k in kinds), seen
 
 
 def random_series(rng: random.Random) -> SeriesPoly:
