@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, permutations
 from math import gcd, inf
 from typing import Optional, Sequence
 
-from .core import SizeMismatchError, TropMatrix, _int_grids, _int_mul, _lcm_scale
+from .core import SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul, _lcm_scale
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
 from .polytrope import _first_difference, commutes
 
@@ -150,8 +150,7 @@ def _finite_weight(vals: list) -> list:
 
 def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
     """Row-major (vec A, vec B); requires finite entries."""
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     return tuple(_finite_weight([e.value for m in (a, b) for row in m.rows for e in row]))
 
 
@@ -615,8 +614,7 @@ class PairClassification:
 
 
 def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairClassification:
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")
     # one scaling serves the min-plus products and the weight of the ties

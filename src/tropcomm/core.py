@@ -255,7 +255,7 @@ class TropMatrix:
         return "\n".join("  ".join(str(e) for e in row) for row in self.rows)
 
 
-def _check_sizes(a: TropMatrix, b: TropMatrix) -> None:
+def _check_sizes(a: TropMatrix, b: TropMatrix | TropVector) -> None:
     if a.n != b.n:
         raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
 
@@ -360,8 +360,7 @@ def trop_pow(a: TropMatrix, m: int) -> TropMatrix:
 
 def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Min-plus matrix-vector action: out[i] = min_s a[i][s] + x[s]."""
-    if a.n != x.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {x.n}")
+    _check_sizes(a, x)
     (m, (v,)), d = _int_grids(a.rows, (x.entries,))
     return TropVector(tuple(_int_scalar(r[0], d) for r in _int_mul(m, [[e] for e in v])))
 

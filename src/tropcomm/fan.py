@@ -178,58 +178,50 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 # the enumerator
 # ---------------------------------------------------------------------------
 
-class _Node:
-    """Constraint state for a prefix of generators (copy-on-extend).
+# a prefix node (pivots, stricts): the tie rows reduced by ``add_pivot``, and
+# each strict row once, reduced against them, in insertion order
+Node = tuple[dict[int, Row], dict[Row, None]]
 
-    ``pivots`` are the tie rows reduced by ``add_pivot``; ``stricts`` holds
-    each strict row once, reduced against them, in insertion order."""
 
-    __slots__ = ("pivots", "stricts")
+def _extend(node: Node, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional[Node]:
+    """Add constraints; None when infeasibility is already forced.
 
-    def __init__(self, pivots: dict[int, Row], stricts: dict[Row, None]):
-        self.pivots = pivots
-        self.stricts = stricts
+    ``eqs`` and ``new_stricts`` come reduced by ``eliminate`` against
+    this node's pivots, once per node for all its children.  A reduced
+    row is canonical: the primitive positive multiple of row +
+    span(pivots) that vanishes on the pivot columns is unique.  So a row
+    is eliminated again only when it is nonzero on a pivot column this
+    child adds; otherwise it is already the child's reduced row."""
+    pivots = dict(node[0])
+    added = [c for c in (add_pivot(pivots, row) for row in eqs) if c is not None]
+    if added:  # the old strict rows may need reducing against the new pivots
+        stricts: dict[Row, None] = {}
+        rows = chain(node[1], new_stricts)
+    else:
+        stricts = dict(node[1])
+        rows = new_stricts
+    for r in rows:
+        if any(r[c] for c in added):
+            r = eliminate(r, pivots)
+        # r < 0 is impossible when r = 0, or when -r < 0 is required too
+        if not any(r) or tuple(-x for x in r) in stricts:
+            return None
+        stricts[r] = None
+    return pivots, stricts
 
-    @staticmethod
-    def root() -> "_Node":
-        return _Node({}, {})
 
-    def extend(self, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional["_Node"]:
-        """Add constraints; None when infeasibility is already forced.
-
-        ``eqs`` and ``new_stricts`` come reduced by ``eliminate`` against
-        this node's pivots, once per node for all its children.  A reduced
-        row is canonical: the primitive positive multiple of row +
-        span(pivots) that vanishes on the pivot columns is unique.  So a row
-        is eliminated again only when it is nonzero on a pivot column this
-        child adds; otherwise it is already the child's reduced row."""
-        pivots = dict(self.pivots)
-        added = [c for c in (add_pivot(pivots, row) for row in eqs) if c is not None]
-        if added:  # the old strict rows may need reducing against the new pivots
-            stricts: dict[Row, None] = {}
-            rows = chain(self.stricts, new_stricts)
-        else:
-            stricts = dict(self.stricts)
-            rows = new_stricts
-        for r in rows:
-            if any(r[c] for c in added):
-                r = eliminate(r, pivots)
-            # r < 0 is impossible when r = 0, or when -r < 0 is required too
-            if not any(r) or tuple(-x for x in r) in stricts:
-                return None
-            stricts[r] = None
-        return _Node(pivots, stricts)
-
-    def feasible_witness(self, dim: int) -> Optional[Witness]:
-        rows = list(self.stricts)
-        if not rows:  # a linear space: the origin is interior, no LP needed
-            return (0,) * dim, 1
-        # cheap interior guess: the negated sum of the strict normals
-        free = [c for c in range(dim) if c not in self.pivots]
-        guess = [-sum(r[f] for r in rows) for f in free]
-        if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
-            return lift_witness(guess, self.pivots, free, dim)
-        return strict_feasibility(self.pivots, rows, dim)
+def _interior(node: Node, dim: int) -> Optional[Witness]:
+    """An interior point W/d of the node's system, None when it has none."""
+    pivots, stricts = node
+    rows = list(stricts)
+    if not rows:  # a linear space: the origin is interior, no LP needed
+        return (0,) * dim, 1
+    # cheap interior guess: the negated sum of the strict normals
+    free = [c for c in range(dim) if c not in pivots]
+    guess = [-sum(r[f] for r in rows) for f in free]
+    if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
+        return lift_witness(guess, pivots, free, dim)
+    return strict_feasibility(pivots, rows, dim)
 
 
 def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[int]) -> None:
@@ -243,34 +235,34 @@ def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w
             raise AssertionError(f"witness does not realize pattern {pattern}")
 
 
-def _enumerate_branch(args) -> list[tuple[Pattern, int, Row, int]]:
-    """(pattern, dim, W, d) of every cell below the root (or below one
-    first-level choice), each with its verified witness W/d."""
-    tables, dim, first_index = args
+def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[tuple[Pattern, int, Row, int]]:
+    """(pattern, dim, W, d) of every cell below the first-level choices
+    ``firsts`` (indices into the first generator's subsets), W/d its verified
+    witness.  Depth first on a stack of (node, pattern); level = len(pattern)."""
     gens_terms = [terms for terms, _, _ in tables]
     out: list[tuple[Pattern, int, Row, int]] = []
-
-    def rec(level: int, node: _Node, pattern: Pattern) -> None:
+    stack: list[tuple[Node, Pattern]] = [(({}, {}), ())]
+    while stack:
+        node, pattern = stack.pop()
+        level = len(pattern)
         _, rows, entries = tables[level]
-        choices = entries if not (level == 0 and first_index is not None) else [entries[first_index]]
+        choices = [entries[i] for i in firsts] if level == 0 else entries
         # each table row reduced once here, shared by all the children
-        reduced = [eliminate(row, node.pivots) for row in rows]
+        reduced = [eliminate(row, node[0]) for row in rows]
         for sub, eq_ids, strict_ids in choices:
-            child = node.extend([reduced[i] for i in eq_ids], [reduced[i] for i in strict_ids])
+            child = _extend(node, [reduced[i] for i in eq_ids], [reduced[i] for i in strict_ids])
             if child is None:
                 continue
-            found = child.feasible_witness(dim)
+            found = _interior(child, dim)
             if found is None:
                 continue
-            new_pattern = pattern + (sub,)
-            if level + 1 == len(tables):
-                w, d = found
-                _verify_cell(gens_terms, new_pattern, w)
-                out.append((new_pattern, dim - len(child.pivots), w, d))
+            child_pattern = pattern + (sub,)
+            if level + 1 < len(tables):
+                stack.append((child, child_pattern))
             else:
-                rec(level + 1, child, new_pattern)
-
-    rec(0, _Node.root(), ())
+                w, d = found
+                _verify_cell(gens_terms, child_pattern, w)
+                out.append((child_pattern, dim - len(child[0]), w, d))
     return out
 
 
@@ -283,9 +275,10 @@ def enumerate_cells(
     """All feasible argmin-pattern cells, sorted by pattern.
 
     Raises :class:`BudgetExceededError` when the candidate product exceeds
-    ``budget``.  ``jobs`` > 1 distributes the top-level branches over a
-    process pool of min(jobs, CPU count, branches) workers; the result is
-    identical and deterministically ordered.
+    ``budget``.  ``jobs`` > 1 distributes the first-level branches over a
+    process pool of min(jobs, CPU count, branches) workers when the candidate
+    product exceeds four times the first generator's subsets, and runs
+    serially otherwise; the result is identical and deterministically ordered.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -299,12 +292,11 @@ def enumerate_cells(
     if jobs > 1 and total > 4 * nfirst:
         import multiprocessing  # imported only when a pool starts: it costs memory
 
-        tasks = [(tables, dim, i) for i in range(nfirst)]
-        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
-            chunks = pool.map(_enumerate_branch, tasks)
-        raw = [cell for chunk in chunks for cell in chunk]
+        tasks = [(tables, dim, (i,)) for i in range(nfirst)]
+        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, nfirst)) as pool:
+            raw = [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
     else:
-        raw = _enumerate_branch((tables, dim, None))
+        raw = _enumerate_branch(tables, dim, range(nfirst))
 
     raw.sort(key=lambda c: c[0])
     return [

@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 from .core import (
     ZERO,
     IntGrid,
-    SizeMismatchError,
     TropMatrix,
     TropScalar,
     TropVector,
+    _check_sizes,
     _int_grids,
     _int_min,
     _int_mul,
@@ -86,8 +86,7 @@ def is_polytrope(a: TropMatrix) -> bool:
 
 def first_difference(a: TropMatrix, b: TropMatrix) -> Optional[tuple[int, int]]:
     """First row-major entry where the matrices differ, 1-based; None if equal."""
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     return _first_difference(a.rows, b.rows)
 
 
@@ -101,8 +100,7 @@ def _first_difference(lhs: Sequence[Sequence], rhs: Sequence[Sequence]) -> Optio
 
 def commutes(a: TropMatrix, b: TropMatrix) -> bool:
     """Exact test of A@B == B@A (works for arbitrary real matrices)."""
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     (x, y), _ = _int_grids(a.rows, b.rows)
     return _int_mul(x, y) == _int_mul(y, x)
 
@@ -150,8 +148,7 @@ def classify_polytrope_pair(a: TropMatrix, b: TropMatrix) -> CommutClassificatio
     (x, y), d = _int_grids(a.rows, b.rows)
     if not (_int_polytrope(x) and _int_polytrope(y)):
         raise NotPolytropeError("both inputs must be polytropes")
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     ab = _int_mul(x, y)
     s = _int_min(x, y)
     star = _int_star(s)
@@ -195,8 +192,7 @@ def preimage(a: TropMatrix, b: TropVector) -> PreimageDescription:
     (x, (v,)), _ = _int_grids(a.rows, (b.entries,))
     if not _int_polytrope(x):
         raise NotPolytropeError("preimage requires a polytrope")
-    if a.n != b.n:
-        raise SizeMismatchError(f"size mismatch: {a.n} vs {b.n}")
+    _check_sizes(a, b)
     col = [[e] for e in v]
     if _int_mul(x, col) != col:
         raise NotInImageError("A @ b != b, so b is not in the image of A")
@@ -219,8 +215,7 @@ def star_image_contains(star: TropMatrix, x: TropVector) -> bool:
 
     Requires x finite; M must satisfy M == M* (not checked).
     """
-    if x.n != star.n:
-        raise SizeMismatchError(f"size mismatch: {star.n} vs {x.n}")
+    _check_sizes(star, x)
     (m, (v,)), _ = _int_grids(star.rows, (x.entries,))
     if None in v:
         return False

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 from tropcomm import TropMatrix, TropVector, commutator_entry
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
-from tropcomm.fan import _Node
+from tropcomm.fan import _extend
 from tropcomm.polynomials import Monomial, SparsePoly
 from tropcomm.polytrope import (
     CommutClassification,
@@ -470,10 +470,11 @@ def raw_strict_feasibility(eqs, stricts, dim: int):
     """``strict_feasibility`` on an unreduced system {eqs . w = 0, stricts . w < 0}:
     reduced as the fan enumerator reduces a prefix (None when the reduction
     already forces infeasibility).  Returns the witness w = W/d as (W, d)."""
-    node = _Node.root().extend(eqs, [eliminate(row, {}) for row in stricts])
+    node = _extend(({}, {}), eqs, [eliminate(row, {}) for row in stricts])
     if node is None:
         return None
-    return strict_feasibility(node.pivots, list(node.stricts), dim)
+    pivots, reduced = node
+    return strict_feasibility(pivots, list(reduced), dim)
 
 
 def null_space_basis(rows, dim: int) -> list[tuple[int, ...]]:

@@ -4,6 +4,7 @@ re-exports only names its modules declare public."""
 import ast
 import importlib
 import pkgutil
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,51 @@ def test_every_import_is_used(name):
     allowed = set(UNUSED_IMPORTS_ALLOWED.get(name, ()))
     assert allowed <= imported - used
     assert sorted(imported - used - allowed) == []
+
+
+def _top_level_private(stmt: ast.stmt) -> list[str]:
+    """The private names a module-level ``def``, ``class`` or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads: loaded names, attributes, imported names."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _body(module: str) -> list[ast.stmt]:
+    return ast.parse(Path(tropcomm.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")).body
+
+
+@lru_cache(maxsize=None)
+def _package_reads() -> list[tuple[ast.stmt, set[str]]]:
+    return [(stmt, _reads(stmt)) for module in MODULES for stmt in _body(module)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_name_is_read(name):
+    """The dead-code lint: every module-level private ``def``, ``class`` or
+    assignment is read somewhere in the package outside its own definition,
+    so no helper outlives its last caller."""
+    reads = _package_reads()
+    dead = [
+        n for stmt in _body(name) for n in _top_level_private(stmt)
+        if not any(n in read for other, read in reads if other is not stmt)
+    ]
+    assert dead == []

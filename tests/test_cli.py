@@ -172,6 +172,21 @@ def test_fan_generator_file(tmp_path, capsys):
     assert with_empty["cells"] == report["cells"]
 
 
+def test_fan_walks_many_generators(tmp_path, capsys):
+    """The prefix walk keeps its own stack: a thousand generators (here one
+    two-term generator x0 - x1 repeated) are not bounded by the interpreter's
+    recursion depth."""
+    gen = [{"exponents": [1, 0], "coefficient": 1}, {"exponents": [0, 1], "coefficient": -1}]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"dimension": 2, "generators": [gen] * 1000}))
+    code, out, _ = run(capsys, "fan", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["cell_count"] == 1
+    assert report["f_vector"] == [1]
+    assert report["lineality_dim"] == 1
+
+
 def test_fan_lineality_builds_no_basis(tmp_path, capsys):
     """The lineality dimension is counted, not spanned: a basis of 10^5
     vectors of 10^5 coordinates would need tens of GB."""

@@ -110,10 +110,19 @@ def test_enumerate_n2():
     assert max(c.dim for c in cells) == 6
 
 
-def test_enumerate_n2_is_parallel_deterministic():
+def _fan_systems():
+    g12, g13, g23 = symmetric_generators()
     cfg = named_config("commuting:n=2")
-    ser = enumerate_cells(list(cfg.gens), cfg.dim, jobs=1)
-    par = enumerate_cells(list(cfg.gens), cfg.dim, jobs=2)
+    return [(list(cfg.gens), cfg.dim), ([g23, g13], 12)]
+
+
+@pytest.mark.parametrize("gens, dim", _fan_systems(), ids=["commuting:n=2", "g23,g13"])
+def test_enumerate_n2_is_parallel_deterministic(gens, dim):
+    """commuting:n=2 has one first-level branch and runs serially at any
+    ``jobs``; the g23/g13 pair has 57, so ``jobs=2`` seeds one pool task per
+    first-level subset."""
+    ser = enumerate_cells(gens, dim, jobs=1)
+    par = enumerate_cells(gens, dim, jobs=2)
     assert [(c.pattern, c.dim, c.witness) for c in ser] == [
         (c.pattern, c.dim, c.witness) for c in par
     ]
@@ -258,12 +267,6 @@ def test_strict_feasibility_api():
     assert raw_strict_feasibility(((1, -1, 0),), ((1, -1, 0),), 3) is None
 
 
-def _fan_systems():
-    g12, g13, g23 = symmetric_generators()
-    cfg = named_config("commuting:n=2")
-    return [(list(cfg.gens), cfg.dim), ([g23, g13], 12)]
-
-
 def test_strict_feasibility_accepts_cells():
     """The LP finds an exact interior point of every enumerated cell."""
     for gens, dim in _fan_systems():
@@ -278,49 +281,52 @@ def test_strict_feasibility_accepts_cells():
 
 
 def test_prefix_systems_are_already_reduced(monkeypatch):
-    """What ``strict_feasibility`` and ``_Node.extend`` rely on: at every
+    """What ``strict_feasibility`` and ``_extend`` rely on: at every
     prefix node, adding the pivot rows again rebuilds the same pivots, and
     each stored strict row is unchanged by elimination against them.  The
     rows reduced once per node and shared by its children, and eliminated
     again only where a child adds a pivot, are the raw table rows reduced
     against the child's pivots: the same pivots and strict rows, in the
     same order, as adding and eliminating the raw rows from scratch."""
-    real = fan._Node.extend
+    real = fan._extend
     nodes = []
     for gens, dim in _fan_systems():
         tables = fan._gen_tables(gens)
-        raw: dict = {}  # id(node) -> (depth, raw tie rows, raw strict rows)
-        calls: dict = {}  # id(node) -> extend calls so far: the choice index
+        parents = []  # every node extended, kept alive so no id is reused
+        raw: dict = {}  # id(pivots) -> (depth, raw tie rows, raw strict rows)
+        calls: dict = {}  # id(pivots) -> extend calls so far: the choice index
 
-        def record(self, eqs, stricts):
-            depth, raw_eqs, raw_stricts = raw.setdefault(id(self), (0, (), ()))
+        def record(node, eqs, stricts):
+            parents.append(node)
+            key = id(node[0])
+            depth, raw_eqs, raw_stricts = raw.setdefault(key, (0, (), ()))
             _, rows, entries = tables[depth]
-            k = calls.get(id(self), 0)
-            calls[id(self)] = k + 1
+            k = calls.get(key, 0)
+            calls[key] = k + 1
             _, eq_ids, strict_ids = entries[k]
-            child = real(self, eqs, stricts)
+            child = real(node, eqs, stricts)
             if child is not None:
                 raw_eqs += tuple(rows[i] for i in eq_ids)
                 raw_stricts += tuple(rows[i] for i in strict_ids)
-                raw[id(child)] = (depth + 1, raw_eqs, raw_stricts)
+                raw[id(child[0])] = (depth + 1, raw_eqs, raw_stricts)
                 nodes.append((child, raw_eqs, raw_stricts))
             return child
 
-        monkeypatch.setattr(fan._Node, "extend", record)
+        monkeypatch.setattr(fan, "_extend", record)
         enumerate_cells(gens, dim)
         monkeypatch.undo()
     assert len(nodes) > 2000
-    for node, raw_eqs, raw_stricts in nodes:
+    for (pivots, stricts), raw_eqs, raw_stricts in nodes:
         rebuilt: dict = {}
-        for row in node.pivots.values():
+        for row in pivots.values():
             add_pivot(rebuilt, row)
-        assert rebuilt == node.pivots
-        assert all(eliminate(row, node.pivots) == row for row in node.stricts)
+        assert rebuilt == pivots
+        assert all(eliminate(row, pivots) == row for row in stricts)
         from_raw: dict = {}
         for row in raw_eqs:
             add_pivot(from_raw, row)
-        assert list(from_raw.items()) == list(node.pivots.items())
-        assert list(node.stricts) == list(dict.fromkeys(eliminate(row, node.pivots) for row in raw_stricts))
+        assert list(from_raw.items()) == list(pivots.items())
+        assert list(stricts) == list(dict.fromkeys(eliminate(row, pivots) for row in raw_stricts))
 
 
 # per system of _fan_systems(), the sha256 of repr([(c.pattern, c.dim,
@@ -368,8 +374,8 @@ def test_pool_size_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     serial = enumerate_cells([g23, g13], 12)
