@@ -270,12 +270,15 @@ def cmd_star(args: argparse.Namespace) -> int:
 
 def cmd_gens(args: argparse.Namespace) -> int:
     if args.symmetric:
+        if args.n not in (None, 3):
+            return _fail(EXIT_UNSUPPORTED, f"--symmetric gives the 3x3 generators, not n={args.n}")
         names = symmetric_variables()
         labels = ((1, 2), (1, 3), (2, 3))
         gens = symmetric_generators()
     else:
-        names = matrix_variables(args.n)
-        pairs = labeled_generators(args.n)
+        n = 2 if args.n is None else args.n
+        names = matrix_variables(n)
+        pairs = labeled_generators(n)
         labels = tuple(lab for lab, _ in pairs)
         gens = [g for _, g in pairs]
     for (k, l), g in zip(labels, gens):
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=cmd_star)
 
     g = sub.add_parser("gens", help="commuting-ideal generators")
-    g.add_argument("--n", type=int, default=2)
+    g.add_argument("--n", type=int, default=None, help="matrix size (default 2; --symmetric needs 3)")
     g.add_argument("--symmetric", action="store_true")
     g.set_defaults(func=cmd_gens)
 

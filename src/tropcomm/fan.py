@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .commuting import (
@@ -181,6 +182,8 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 # a prefix node (pivots, stricts): the tie rows reduced by ``add_pivot``, and
 # each strict row once, reduced against them, in insertion order
 Node = tuple[dict[int, Row], dict[Row, None]]
+# a generator's terms as (variable index, exponent) pairs, zero exponents left out
+SparseTerms = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _extend(node: Node, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional[Node]:
@@ -216,19 +219,26 @@ def _interior(node: Node, dim: int) -> Optional[Witness]:
     rows = list(stricts)
     if not rows:  # a linear space: the origin is interior, no LP needed
         return (0,) * dim, 1
-    # cheap interior guess: the negated sum of the strict normals
-    free = [c for c in range(dim) if c not in pivots]
-    guess = [-sum(r[f] for r in rows) for f in free]
-    if all(sum(r[f] * g for f, g in zip(free, guess)) < 0 for r in rows):
-        return lift_witness(guess, pivots, free, dim)
+    # cheap interior guess: the negated sum of the strict normals; reduced
+    # rows vanish on the pivot columns, and so does the guess
+    guess = [-sum(col) for col in zip(*rows)]
+    if all(sum(map(mul, r, guess)) < 0 for r in rows):
+        free = [c for c in range(dim) if c not in pivots]
+        return lift_witness([guess[f] for f in free], pivots, free, dim)
     return strict_feasibility(pivots, rows, dim)
 
 
-def _verify_cell(gens_terms: Sequence[tuple[Monomial, ...]], pattern: Pattern, w: Sequence[int]) -> None:
-    """Exact argmin check of every generator at w.  The argmins are those of
-    any positive multiple of w, so an integer W with w = W/d is checked as it is."""
+def _sparse_terms(terms: Sequence[Monomial]) -> SparseTerms:
+    """Each term as its (variable index, exponent) pairs with exponent > 0."""
+    return tuple(tuple((i, k) for i, k in enumerate(m) if k) for m in terms)
+
+
+def _verify_cell(gens_terms: Sequence[SparseTerms], pattern: Pattern, w: Sequence[int]) -> None:
+    """Exact argmin check of every generator at w, its terms read as
+    ``_sparse_terms`` gives them.  The argmins are those of any positive
+    multiple of w, so an integer W with w = W/d is checked as it is."""
     for terms, sub in zip(gens_terms, pattern):
-        vals = [sum(k * w[i] for i, k in enumerate(m) if k) for m in terms]
+        vals = [sum(k * w[i] for i, k in m) for m in terms]
         mn = min(vals)
         argmin = tuple(t for t, v in enumerate(vals) if v == mn)
         if argmin != sub:
@@ -239,7 +249,7 @@ def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[tuple[Pat
     """(pattern, dim, W, d) of every cell below the first-level choices
     ``firsts`` (indices into the first generator's subsets), W/d its verified
     witness.  Depth first on a stack of (node, pattern); level = len(pattern)."""
-    gens_terms = [terms for terms, _, _ in tables]
+    gens_terms = [_sparse_terms(terms) for terms, _, _ in tables]
     out: list[tuple[Pattern, int, Row, int]] = []
     stack: list[tuple[Node, Pattern]] = [(({}, {}), ())]
     while stack:

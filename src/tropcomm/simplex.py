@@ -11,10 +11,12 @@ on the degenerate start.
 
 All pivoting is on integer rows.  Elimination clears a column by
 cross-multiplying and divides each new row by the gcd of its entries; the
-simplex tableau does the same (Edmonds 1967; Bareiss 1968).  The free z is
-split as z+ - z-, but column z-_j starts as the negated column z+_j and
-every row operation is linear, so it stays that: the tableau stores only
-z+, t, the slacks and the rhs, and Bland's rule and the ratio test read
+simplex tableau does the same (Edmonds 1967; Bareiss 1968).  The tableau is
+condensed, as in Avis's lrs dictionary: a row stores the nonbasic columns,
+its basic variable's coefficient and the rhs, and no identity column.  The
+free z is split as z+ - z-, but column z-_j starts as the negated column
+z+_j and every row operation is linear, so it stays that: one column serves
+the pair while both are nonbasic, and Bland's rule and the ratio test read
 z-_j as -z+_j.
 
 No ``Fraction`` is built: a witness w is returned as integers W with a
@@ -24,7 +26,6 @@ a witness too (a positive multiple of one).
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -91,72 +92,87 @@ def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[int, l
     denominator: t = T/den, z = Z/den.
 
     Fraction-free: row i of the tableau is a positive multiple of its
-    normalised form, with its basic variable's coefficient in place of the
-    leading 1.  Every update scales by the positive pivot and divides by the
-    row's gcd, so signs, ratios and the Bland path are those of the
-    normalised rational tableau.  Variables are numbered in Bland's order
-    z+ (0..d-1), z- (d..2d-1), t (2d), slacks; the stored columns are z+,
-    t, slacks and rhs, and z-_j is read as the negated z+_j column (the
-    gcd of a row is the same with or without the negated copy)."""
+    normalised form, with its basic variable's coefficient q > 0 in place
+    of the leading 1.  Every update scales by the positive pivot and
+    divides by the row's gcd, so signs, ratios and the Bland path are those
+    of the normalised rational tableau.  Variables are numbered in Bland's
+    order z+ (0..d-1), z- (d..2d-1), t (2d), slacks.
+
+    A row stores only d + 1 nonbasic columns, then q, then the rhs.  Column
+    k holds the variable ``label[k]``; a label j < d stands for the pair
+    z+_j, z-_j, both nonbasic, with z-_j read as the negated column.  While
+    one of a pair is basic the other has reduced cost 0 and never enters,
+    so nothing is stored for it.  On a pivot the entering column takes the
+    leaving variable's column: q_r in the pivot row and -f q_r in a row
+    with entering entry f, before that row's gcd division; a leaving z-_j
+    is stored negated, as z+_j.  The gcd covers q, so every stored integer
+    is the entry of the full tableau, with identity columns, that it
+    stands for."""
     m = len(strict_rows)
-    nrows = m + 1
-    tab: list[list[int]] = []
-    for i, row in enumerate(strict_rows):
-        tab.append(list(row) + [1] + [1 if j == i else 0 for j in range(nrows)] + [0])
-    tab.append([0] * d + [1] + [1 if j == m else 0 for j in range(nrows)] + [1])
-    basis = [2 * d + 1 + i for i in range(nrows)]
-    cost = [0] * (d + nrows + 2)
-    cost[d] = -1  # maximize t
+    tab = [[*row, 1, 1, 0] for row in strict_rows]
+    tab.append([0] * d + [1, 1, 1])
+    basis = list(range(2 * d + 1, 2 * d + 2 + m))
+    label = [*range(d), 2 * d]
+    cost = [0] * d + [-1, 0, 0]  # maximize t; the q entry stays 0
+    sentinel = 2 * d + 2 + m
 
     while True:
-        reduced_costs = chain(cost[:d], (-c for c in cost[:d]), cost[d:-1])
-        enter = next((j for j, c in enumerate(reduced_costs) if c < 0), -1)
-        if enter < 0:
+        enter = sentinel
+        for k, c in enumerate(cost[:-2]):
+            if c < 0:
+                v = label[k]
+            elif c > 0 and label[k] < d:
+                v = label[k] + d  # z-_j, the negated column
+            else:
+                continue
+            if v < enter:
+                enter, col = v, k
+        if enter == sentinel:
             break
-        col, sign = _stored(enter, d)
+        sign = -1 if d <= enter < 2 * d else 1
         leave = -1
-        for i in range(nrows):
-            a = sign * tab[i][col]
+        for i, row in enumerate(tab):
+            a = sign * row[col]
             if a > 0:
                 if leave < 0:
                     leave, a_leave = i, a
                     continue
                 # rhs_i / a < rhs_leave / a_leave, with both denominators > 0
-                lhs, rhs = tab[i][-1] * a_leave, tab[leave][-1] * a
+                lhs, rhs = row[-1] * a_leave, tab[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, a_leave = i, a
         if leave < 0:
             raise UnboundedNormalizationError("t <= 1 should bound the program")
         prow = tab[leave]
-        for i in range(nrows):
-            f = sign * tab[i][col]
+        out = basis[leave]
+        if d <= out < 2 * d:  # z-_j leaves: store its column negated, as z+_j
+            label[col], prow[col] = out - d, -prow[-2]
+        else:
+            label[col], prow[col] = out, prow[-2]
+        prow[-2] = 0  # so each other row's q becomes a_leave * q below
+        for i, row in enumerate(tab):
+            f = sign * row[col]
             if i != leave and f:
-                tab[i] = _fraction_free(tab[i], prow, a_leave, f)
+                row[col] = 0
+                tab[i] = _fraction_free(row, prow, a_leave, f)
         f = sign * cost[col]
         if f:
+            cost[col] = 0
             cost = _fraction_free(cost, prow, a_leave, f)
+        prow[-2] = a_leave
         basis[leave] = enter
 
-    # each basic z+, z- and t is rhs / coefficient, with coefficient > 0
-    vertex = []
-    for b, row in zip(basis, tab):
-        if b <= 2 * d:
-            col, sign = _stored(b, d)
-            vertex.append((b, row[-1], sign * row[col]))
-    den = lcm(*(coef for _, _, coef in vertex))
+    # each basic z+, z- and t is rhs / q
+    vertex = [(b, row[-1], row[-2]) for b, row in zip(basis, tab) if b <= 2 * d]
+    den = lcm(*(q for _, _, q in vertex))
     x = [0] * (2 * d + 1)
-    for b, rhs, coef in vertex:
-        x[b] = rhs * (den // coef)
+    for b, rhs, q in vertex:
+        x[b] = rhs * (den // q)
     return x[2 * d], [x[j] - x[d + j] for j in range(d)], den
 
 
-def _stored(j: int, d: int) -> tuple[int, int]:
-    """The stored column of variable j (Bland's numbering) and its sign."""
-    return (j, 1) if j < d else (j - d, -1 if j < 2 * d else 1)
-
-
 def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[int]:
-    """piv*row - f*prow divided by its gcd: clears the pivot column (piv > 0)."""
+    """piv*row - f*prow divided by its gcd (piv > 0)."""
     r = [piv * a - f * p for a, p in zip(row, prow)]
     g = gcd(*r)
     return [a // g for a in r] if g > 1 else r

@@ -496,13 +496,19 @@ def lineality_basis(gens, dim: int) -> list[tuple[int, ...]]:
     return null_space_basis(rows, dim)
 
 
-def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction]]:
+def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction], list[tuple[int, int]]]:
     """Independent LP oracle: max t s.t. row.z + t <= 0 for each row, t <= 1,
-    z free, on a dense Fraction tableau normalised to unit pivots.
+    z free, on a dense Fraction tableau normalised to unit pivots.  Returns
+    the optimal (t, z) and the basis changes as (entering, leaving) variables.
 
-    Same program and pivoting rule as ``simplex._simplex_max_t`` (columns
-    z+, z-, t, slacks, rhs; Bland's lowest entering column; minimum ratio,
-    ties to the lowest basis index), so the two return the same vertex."""
+    Same program and pivoting rule as ``simplex._simplex_max_t`` (variables
+    z+, z-, t, slacks in that order; Bland's lowest entering variable;
+    minimum ratio, ties to the lowest basis index), so the two return the
+    same vertex.  This tableau stores a column for every variable, the
+    basic ones' unit columns and z- included, plus the rhs.  The integer
+    tableau stores only the d + 1 nonbasic columns it may enter from (one
+    per z+/z- pair while both are nonbasic, z- read negated), its basic
+    variable's coefficient and the rhs."""
     m = len(strict_rows)
     nvars = 2 * d + 1  # z+, z-, t
     width = nvars + m + 1 + 1  # + slacks + rhs
@@ -520,6 +526,7 @@ def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction
     basis = [nvars + i for i in range(nrows)]
     cost = [zero] * width
     cost[2 * d] = Fraction(-1)  # maximize t
+    changes = []
 
     while True:
         enter = -1
@@ -550,6 +557,7 @@ def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction
         f = cost[enter]
         if f:
             cost = [a - f * p for a, p in zip(cost, prow)]
+        changes.append((enter, basis[leave]))
         basis[leave] = enter
 
     x = [zero] * (nvars + nrows)
@@ -557,7 +565,7 @@ def fraction_simplex_max_t(strict_rows, d: int) -> tuple[Fraction, list[Fraction
         x[b] = tab[i][-1]
     t = x[2 * d]
     z = [x[j] - x[d + j] for j in range(d)]
-    return t, z
+    return t, z, changes
 
 
 def fraction_classify_pair(a: TropMatrix, b: TropMatrix):

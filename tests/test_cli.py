@@ -276,6 +276,18 @@ def test_gens_command(capsys):
     )
 
 
+@pytest.mark.parametrize("n", ["2", "5"])
+def test_gens_symmetric_needs_n_3(capsys, n):
+    """The symmetric generators are 3x3 ones: another --n is refused, and
+    --n 3 prints what plain --symmetric prints."""
+    code, out, err = run(capsys, "gens", "--symmetric", "--n", n)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "--symmetric" in err and f"n={n}" in err
+    _, plain, _ = run(capsys, "gens", "--symmetric")
+    code, out, _ = run(capsys, "gens", "--symmetric", "--n", "3")
+    assert code == 0 and out == plain
+
+
 def test_certify_command(pair_file, capsys):
     code, out, _ = run(capsys, "certify", pair_file("b", P7B_C, P7B_D))
     assert code == 0

@@ -19,6 +19,7 @@ from tropcomm import (
     lineality_dim,
     maximal_cell_orbits,
     named_config,
+    simplex,
     symmetric_generators,
 )
 from tropcomm.fan import (
@@ -26,13 +27,15 @@ from tropcomm.fan import (
     KNOWN_FVECTOR_VARIETY_3,
     argmin_subsets,
     candidate_count,
+    _sparse_terms,
     _verify_cell,
     cell_system,
 )
+from tropcomm.commuting import labeled_generators
 from tropcomm.polynomials import SparsePoly
 from tropcomm.simplex import add_pivot, eliminate
 
-from helpers import raw_strict_feasibility
+from helpers import fraction_simplex_max_t, raw_strict_feasibility
 
 
 def test_lineality_dimensions():
@@ -347,10 +350,40 @@ def test_cells_and_witnesses_are_pinned(system, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the same kind of digest for commuting:n=3's diagonal-first prefix (g11,
+# g22, g33, g12), taken from the enumerator with a full-width integer tableau
+PREFIX_3_DIGEST = "ccbe778dff88afefefe21b6b3e3806fca90c7a2356ac128c1a4d40f8f045ccf3"
+
+
+def test_commuting_3_prefix_is_pinned(monkeypatch):
+    """A larger LP family than the g23/g13 pair's (at most 10 free
+    columns): 1,280 LPs with up to 16 free columns.  A seeded sample of
+    them is checked against the Fraction oracle."""
+    labeled = dict(labeled_generators(3))
+    gens = [labeled[k] for k in ((1, 1), (2, 2), (3, 3), (1, 2))]
+    issued = []
+    real = simplex._simplex_max_t
+
+    def record(rows, d):
+        issued.append((rows, d))
+        return real(rows, d)
+
+    monkeypatch.setattr(simplex, "_simplex_max_t", record)
+    cells = enumerate_cells(gens, 18)
+    monkeypatch.undo()
+    text = repr([(c.pattern, c.dim, c.witness) for c in cells])
+    assert len(cells) == 3591 and len(issued) == 1280
+    assert hashlib.sha256(text.encode()).hexdigest() == PREFIX_3_DIGEST
+    for rows, d in random.Random(16).sample(issued, 150):
+        t_num, z_num, den = real(rows, d)
+        t, z, _ = fraction_simplex_max_t(rows, d)
+        assert (Fraction(t_num, den), [Fraction(x, den) for x in z_num]) == (t, z)
+
+
 def test_verify_cell_rejects_a_nudged_witness():
     for gens, dim in _fan_systems():
         cells = enumerate_cells(gens, dim)
-        terms = [g.monomials() for g in gens]
+        terms = [_sparse_terms(g.monomials()) for g in gens]
         for c in cells:
             _verify_cell(terms, c.pattern, c.witness)
             # moving along a tie row breaks that tie, so the pattern changes

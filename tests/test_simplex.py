@@ -20,25 +20,36 @@ def random_system(rng: random.Random) -> tuple[list[tuple[int, ...]], int]:
     return rows, d
 
 
-def assert_same_vertex(rows, d) -> Fraction:
-    """Both tableaux give the same optimal (t, z); returns t.  The integer
-    tableau stores no z- columns and returns integers over one positive
-    denominator; the oracle stores them and returns Fractions."""
+def assert_same_vertex(rows, d) -> tuple[Fraction, list[tuple[int, int]]]:
+    """Both tableaux give the same optimal (t, z); returns t and the
+    oracle's basis changes.  The integer tableau stores only nonbasic
+    columns and returns integers over one positive denominator; the oracle
+    stores every column and returns Fractions."""
     t_num, z_num, den = simplex._simplex_max_t(rows, d)
     assert all(type(x) is int for x in [t_num, *z_num, den]) and den > 0
     t, z = Fraction(t_num, den), [Fraction(x, den) for x in z_num]
-    t_ref, z_ref = fraction_simplex_max_t(rows, d)
+    t_ref, z_ref, changes = fraction_simplex_max_t(rows, d)
     assert (t, z) == (t_ref, z_ref)
-    return t
+    return t, changes
 
 
 def test_integer_tableau_matches_fraction_tableau_on_random_systems():
+    """Also covers every way a free coordinate's column changes hands: z+
+    and z- each enter and each leave the basis somewhere in the sample (a
+    leaving z- is the one stored negated, as z+)."""
     rng = random.Random(4)
     optimal = 0
+    moves = {(kind, move): 0 for kind in ("z+", "z-") for move in ("enter", "leave")}
     for _ in range(300):
         rows, d = random_system(rng)
-        optimal += assert_same_vertex(rows, d) == 1
+        t, changes = assert_same_vertex(rows, d)
+        optimal += t == 1
+        for change in changes:
+            for move, var in zip(("enter", "leave"), change):
+                if var < 2 * d:
+                    moves["z+" if var < d else "z-", move] += 1
     assert 0 < optimal < 300  # both feasible and infeasible cones occur
+    assert all(moves.values()), moves
 
 
 def test_integer_tableau_matches_fraction_tableau_on_every_fan_lp(monkeypatch):
@@ -58,5 +69,5 @@ def test_integer_tableau_matches_fraction_tableau_on_every_fan_lp(monkeypatch):
     assert len(cells) == 2769 and len(issued) == 1193
     infeasible = 0
     for rows, d in issued:
-        infeasible += assert_same_vertex(rows, d) <= 0
+        infeasible += assert_same_vertex(rows, d)[0] <= 0
     assert infeasible == 160
