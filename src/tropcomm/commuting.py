@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, permutations
-from math import gcd, inf
+from math import gcd, inf, isqrt
 from typing import Optional, Sequence
 
 from .core import SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul, _lcm_scale
@@ -123,21 +123,18 @@ def _generator_supports(n: int) -> tuple[tuple[tuple[int, int], Support], ...]:
 def symmetric_generators() -> tuple[SparsePoly, ...]:
     """The three 6-term generators of the symmetric 3x3 commuting ideal.
 
-    Entry (k,l) of XY - YX with X, Y symmetric, written in the 12 variables
-    x_ij, y_ij (i <= j); the diagonal entries vanish identically.  Built once.
+    The entries of XY - YX for n=3 with x_ji read as x_ij (and y alike),
+    written in the 12 variables x_ij, y_ij (i <= j).  The diagonal entries
+    vanish and entry (l,k) is minus entry (k,l), so (1,2), (1,3) and (2,3)
+    remain.  Built once.
     """
-    names = symmetric_variables()
-
-    def var(p: str, i: int, j: int) -> str:
-        return f"{p}{min(i, j)}{max(i, j)}"
-
-    out = []
-    for (k, l) in ((1, 2), (1, 3), (2, 3)):
-        terms: list[tuple[Monomial, int]] = []
-        for s in range(1, 4):
-            terms.append((monomial(names, var("x", k, s), var("y", s, l)), 1))
-            terms.append((monomial(names, var("y", k, s), var("x", s, l)), -1))
-        out.append(SparsePoly.from_terms(terms))
+    sym = symmetric_variables()
+    upper = [min(nm, nm[0] + nm[2] + nm[1]) for nm in matrix_variables(3)]  # x_ji read as x_ij
+    out: list[SparsePoly] = []
+    for _, g in labeled_generators(3):
+        f = SparsePoly.from_terms((monomial(sym, *(upper[i] for i in _exponents(m))), c) for m, c in g.terms)
+        if f and not any(f.equal_up_to_sign(prev) for prev in out):
+            out.append(f)
     return tuple(out)
 
 
@@ -359,8 +356,11 @@ class NonMembershipCertificate:
     min_value: Fraction
     runner_up_value: Fraction
 
-    def monomial_name(self, n: int = 3) -> str:
-        return monomial_str(self.unique_min_monomial, matrix_variables(n))
+    def monomial_name(self) -> str:
+        """The unique minimal term in the names of :func:`matrix_variables`,
+        n read from its 2n^2 exponents."""
+        m = self.unique_min_monomial
+        return monomial_str(m, matrix_variables(isqrt(len(m) // 2)))
 
 
 def _unique_min(
@@ -405,43 +405,41 @@ def _slice_data(n: int, degree: int) -> tuple[tuple, tuple]:
     return (tuple(map(_exponents, extras)), tuple((m, _code(m, base)) for m in extras)), gens
 
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], c: int,
-               prov: Optional[dict] = None, pprov: Optional[dict] = None) -> None:
+def _decode(key: int, base: int, nvars: int) -> Monomial:
+    """The inverse of :func:`_code` on a column ``key`` = value*level + code."""
+    return tuple(key // base ** i % base for i in reversed(range(nvars)))
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
     """row := mul*row - sub*prow in place, with the least mul, sub that
-    clear column c, and prov the same way.  Then the content is divided
-    out: of row and prov together after every step when ``prov`` is given,
-    else of the row only after a step with mul != 1."""
+    clear column c; after a step with mul != 1 the content is divided out."""
     g = gcd(row[c], prow[c])
     mul, sub = prow[c] // g, row[c] // g
-    parts = ((row, prow),) if prov is None else ((row, prow), (prov, pprov))
-    for r, pr in parts:
-        if mul != 1:
-            for k in r:
-                r[k] *= mul
-        for k, x in pr.items():
-            nx = r.get(k, 0) - sub * x
-            if nx:
-                r[k] = nx
-            else:
-                del r[k]
-    if prov is not None or mul != 1:
-        g = gcd(*row.values(), *(prov or {}).values())
+    if mul != 1:
+        for k in row:
+            row[k] *= mul
+    for k, x in prow.items():
+        nx = row.get(k, 0) - sub * x
+        if nx:
+            row[k] = nx
+        else:
+            del row[k]
+    if mul != 1:
+        g = gcd(*row.values())
         if g > 1:
-            for r, _ in parts:
-                for k in r:
-                    r[k] //= g
+            for k in row:
+                row[k] //= g
 
 
-def _reduce(row: dict[int, int], pivots: dict, stop: float, prov: Optional[dict] = None) -> Optional[int]:
-    """Eliminate the lowest column of row while it is below stop and has a
-    pivot; return the lowest remaining column (None: the row is zero).
-    ``pivots`` maps a lead to (row, provenance), the provenance None when
-    ``prov`` is."""
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> Optional[int]:
+    """Eliminate the lowest column of row while it has a pivot; return the
+    lowest remaining column (None: the row is zero).  ``pivots`` maps a
+    lead to its row."""
     while row:
         c = min(row)
-        if c >= stop or c not in pivots:
+        if c not in pivots:
             return c
-        _eliminate(row, pivots[c][0], c, prov, pivots[c][1])
+        _eliminate(row, pivots[c], c)
     return None
 
 
@@ -466,17 +464,15 @@ def find_monomial_initial_form(
     (Maclagan-Sturmfels 2015, section 2.4).  Only a lead can be a unique
     minimal term.
 
-    Pass 1 decides, in one fraction-free integer elimination without
-    provenance.  When a value closes, its pivots are brought to reduced
-    echelon form inside that value, from the highest lead down, and stored
-    back.  That form is unique and a unit vector lies in the span iff it is
-    one of its rows, so a lead is an initial form iff no other column of
-    its value is left in its row.  Pass 2 runs only on such a hit, lowest
-    first: it inserts again the products of lowest value <= v, carrying
-    each row's integer provenance, and reduces the hit's unit vector until
-    only columns above v are left.  The provenance is the certificate's
-    combination of products; its term values, read on the same scaled
-    ints, must have the hit as their unique minimal term.
+    One fraction-free integer elimination decides and certifies.  When a
+    value closes, its pivots are brought to reduced echelon form inside that
+    value, from the highest lead down.  That form is unique and a unit
+    vector lies in the span iff it is one of its rows, so a lead is an
+    initial form iff no other column of its value is left in its row.  Such
+    a row is a combination of products whose only term of value <= v is the
+    lead: negated, it is the certificate, each column read back as its
+    monomial.  Its term values, read on the same scaled ints, must have the
+    lead as their unique minimal term.
 
     At the default degree 4 the search is complete: None proves that no
     monomial of degree <= 4 lies in in_w(I) (one of lower degree times a
@@ -495,16 +491,14 @@ def find_monomial_initial_form(
     gterms = [[(v * level + code, c) for v, (code, c) in zip(_term_values(sup, iw), terms)]
               for sup, terms in gcodes]
     glow = [min(k for k, _ in t) for t in gterms]
-    # the products (degree d-2 monomial m) x generator gi, by lowest column
+    # the products (degree d-2 monomial m) x generator gi, by lowest column;
+    # m only breaks ties, which decides the row that becomes a pivot
     ekeys = [(v * level + code, m) for v, (m, code) in zip(_term_values(esup, iw), extras)]
     products = sorted((ek + low, m, gi) for ek, m in ekeys for gi, low in enumerate(glow))
 
-    def row_of(low: int, gi: int) -> dict[int, int]:
-        return {k + low - glow[gi]: c for k, c in gterms[gi]}
-
     def hits():
-        # pass 1: the leads that are initial forms, lowest first
-        pivots: dict[int, tuple[dict[int, int], None]] = {}
+        # (lead, row) of the leads that are initial forms, lowest first
+        pivots: dict[int, dict[int, int]] = {}
         untested: list[int] = []  # heap of pivot leads
 
         def close(below: float):
@@ -518,43 +512,31 @@ def find_monomial_initial_form(
                 top, inside = (v + 1) * level, set(leads)
                 found = []
                 for lead in reversed(leads):
-                    row = pivots[lead][0]
+                    row = pivots[lead]
                     for c in [k for k in row if k in inside and k != lead]:
-                        _eliminate(row, pivots[c][0], c)
+                        _eliminate(row, pivots[c], c)
                     if all(k == lead or k >= top for k in row):
-                        found.append(lead)
+                        found.append((lead, row))
                 yield from reversed(found)
 
         for low, _, gi in products:
             # every value below this product's lowest one is closed
             if untested and untested[0] < low // level * level:
                 yield from close(low // level * level)
-            row = row_of(low, gi)
-            lead = _reduce(row, pivots, inf)
+            row = {k + low - glow[gi]: c for k, c in gterms[gi]}
+            lead = _reduce(row, pivots)
             if lead is not None:
-                pivots[lead] = (row, None)
+                pivots[lead] = row
                 heappush(untested, lead)
         yield from close(inf)
 
-    gens = generators(a.n)
-    for target in hits():
-        # pass 2: the provenance of the hit, exactly as one elimination
-        # with provenance would find it when the hit's value closes
-        stop = (target // level + 1) * level
-        pivots: dict[int, tuple[dict[int, int], dict[tuple[Monomial, int], int]]] = {}
-        for low, m, gi in products:
-            if low >= stop:
-                break
-            row, prov = row_of(low, gi), {(m, gi): 1}
-            lead = _reduce(row, pivots, inf, prov)
-            if lead is not None:
-                pivots[lead] = (row, prov)
-        prov = {}
-        _reduce({target: 1}, pivots, stop, prov)
-        f = SparsePoly.from_terms(t for (m, gi), k in prov.items() for t in gens[gi].mul_monomial(m, k))
+    for lead, row in hits():
+        # any nonzero multiple of the row certifies; the negation is the
+        # sign pinned by tests/test_commuting.py
+        f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in row.items())
         vals = _term_values(_support(f), iw)
         cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
-        if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == target:
+        if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == lead:
             return cert
     return None
 

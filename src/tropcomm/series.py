@@ -173,7 +173,7 @@ class SeriesMatrix:
     def __post_init__(self) -> None:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix is not square")
+            raise SizeMismatchError("matrix is not square")
 
     @staticmethod
     def parse(grid: Iterable[Iterable[str]]) -> "SeriesMatrix":
@@ -191,7 +191,7 @@ class SeriesMatrix:
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         n = self.n
         if other.n != n:
-            raise ValueError("size mismatch")
+            raise SizeMismatchError(f"size mismatch: {n} vs {other.n}")
         # one scaling for all entries of both factors
         polys, _, de, dc = _int_terms([e for m in (self, other) for row in m.rows for e in row])
         x, y = polys[: n * n], polys[n * n :]

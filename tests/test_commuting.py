@@ -92,6 +92,15 @@ def test_symmetric_generators_match_display():
         assert len(g) == 6
         assert sorted(c for _, c in g.terms) == [-1, -1, -1, 1, 1, 1]
 
+    # entry (k,l) of XY - YX written directly in the upper-triangle names
+    def var(p, i, j):
+        return f"{p}{min(i, j)}{max(i, j)}"
+
+    for g, (k, l) in zip(gens, ((1, 2), (1, 3), (2, 3))):
+        assert g == SparsePoly.from_terms(
+            [(monomial(names, var("x", k, s), var("y", s, l)), 1) for s in range(1, 4)]
+            + [(monomial(names, var("y", k, s), var("x", s, l)), -1) for s in range(1, 4)])
+
 
 def test_trop_satisfied_reports():
     g11 = generators(2)[0]
@@ -297,6 +306,14 @@ def test_deep_search_extends_the_witness_family():
     assert cert.monomial_name() == "x21*x32*y13*y33"
 
 
+def test_slice_certificate_of_a_2x2_pair_names_2x2_variables():
+    # the README pair outside Tpre2; its 8 exponents are x11..x22, y11..y22
+    cert = commuting.find_monomial_initial_form(S31_A, S31_B, degree=3)
+    assert cert is not None and len(cert.unique_min_monomial) == 8
+    assert cert.monomial_name() == "x21*y12*y22"
+    assert in_ideal_slice(cert.polynomial, 2, 3)
+
+
 @pytest.mark.parametrize("a, b", _SHIFTED, ids=["shift1", "shift2"])
 def test_deep_search_certifies_shifted_images(a, b):
     # images of the pair above under S3 x S2, scaling and a homogeneity
@@ -358,6 +375,10 @@ def test_slice_certificates_are_pinned():
     for (a, b, d), cert in zip(inputs, certs):
         if cert is not None:
             assert in_ideal_slice(cert.polynomial, 3, d)
+            # the claimed minimum, runner-up and unique argmin, on Fractions
+            ev = evaluate_tropically(cert.polynomial, weight_of_pair(a, b))
+            assert ev.argmin == (cert.unique_min_monomial,)
+            assert (ev.min_value, ev.runner_up) == (cert.min_value, cert.runner_up_value)
     found = Counter(cert is not None for cert in certs)
     assert found[True] >= 20 and found[False] >= 5, found
     digest = hashlib.sha256(repr(certs).encode()).hexdigest()

@@ -123,6 +123,14 @@ def test_verify_lift_rejects_mixed_sizes():
             verify_lift(x, y, a, b)
 
 
+def test_series_matrix_size_errors_are_size_mismatches():
+    with pytest.raises(SizeMismatchError, match=r"^matrix is not square$"):
+        SeriesMatrix.parse([["1", "t"], ["t"]])
+    x2, x3 = SeriesMatrix.parse(LIFT_X), SeriesMatrix.parse([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "t"]])
+    with pytest.raises(SizeMismatchError, match=r"^size mismatch: 2 vs 3$"):
+        x2 * x3
+
+
 def _monomial(rng: random.Random) -> SeriesPoly:
     exponent = Fraction(rng.randint(-3, 9), rng.choice((1, 2, 3, 4)))
     coefficient = Fraction(rng.choice((1, -1, 2, -2, 3, -3, 5, -5, 7, -7)), rng.choice((1, 2, 3)))
