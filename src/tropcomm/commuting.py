@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 from math import gcd, inf, isqrt
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .core import SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul, _lcm_scale
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
@@ -57,6 +57,7 @@ __all__ = [
 WeightVector = tuple[Fraction, ...]
 # per term of a polynomial, its variable indices, each once per unit of exponent
 Support = tuple[tuple[int, ...], ...]
+L = TypeVar("L")  # the label of a polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +84,18 @@ def labeled_generators(n: int) -> tuple[tuple[tuple[int, int], SparsePoly], ...]
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    out: list[tuple[tuple[int, int], SparsePoly]] = []
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            g = commutator_entry(n, k, l)
-            if not g:
-                continue
-            if any(g.equal_up_to_sign(prev) for _, prev in out):
-                continue
-            out.append(((k, l), g))
+    return _distinct_up_to_sign(
+        ((k, l), commutator_entry(n, k, l)) for k in range(1, n + 1) for l in range(1, n + 1)
+    )
+
+
+def _distinct_up_to_sign(pairs: Iterable[tuple[L, SparsePoly]]) -> tuple[tuple[L, SparsePoly], ...]:
+    """The (label, f) pairs, in order, whose f is nonzero and not +-f of an
+    earlier one kept."""
+    out: list[tuple[L, SparsePoly]] = []
+    for label, f in pairs:
+        if f and not any(f.equal_up_to_sign(g) for _, g in out):
+            out.append((label, f))
     return tuple(out)
 
 
@@ -130,12 +134,9 @@ def symmetric_generators() -> tuple[SparsePoly, ...]:
     """
     sym = symmetric_variables()
     upper = [min(nm, nm[0] + nm[2] + nm[1]) for nm in matrix_variables(3)]  # x_ji read as x_ij
-    out: list[SparsePoly] = []
-    for _, g in labeled_generators(3):
-        f = SparsePoly.from_terms((monomial(sym, *(upper[i] for i in _exponents(m))), c) for m, c in g.terms)
-        if f and not any(f.equal_up_to_sign(prev) for prev in out):
-            out.append(f)
-    return tuple(out)
+    folded = [SparsePoly.from_terms((monomial(sym, *(upper[i] for i in _exponents(m))), c) for m, c in g.terms)
+              for _, g in labeled_generators(3)]
+    return tuple(f for _, f in _distinct_up_to_sign(enumerate(folded)))
 
 
 def _finite_weight(vals: list) -> list:
@@ -310,22 +311,11 @@ def witness_family() -> tuple[tuple[str, SparsePoly], ...]:
     Cheapest certificates first; orbit members equal up to sign are listed
     once, labeled by their construction.  Built once and shared.
     """
-    family: list[tuple[str, SparsePoly]] = []
-    seen: list[SparsePoly] = []
-
-    def push(label: str, f: SparsePoly) -> None:
-        if any(f.equal_up_to_sign(p) for p in seen):
-            return
-        seen.append(f)
-        family.append((label, f))
-
-    for (k, l), g in labeled_generators(3):
-        push(f"g{k}{l}", g)
-    for ge in group_elements(3):
-        push(f"deg3[{_gname(ge)}]", witness_deg3(ge))
-    for ge in group_elements(3):
-        push(f"deg4[{_gname(ge)}]", witness_deg4(ge))
-    return tuple(family)
+    return _distinct_up_to_sign(chain(
+        ((f"g{k}{l}", g) for (k, l), g in labeled_generators(3)),
+        ((f"deg3[{_gname(ge)}]", witness_deg3(ge)) for ge in group_elements(3)),
+        ((f"deg4[{_gname(ge)}]", witness_deg4(ge)) for ge in group_elements(3)),
+    ))
 
 
 @cache
@@ -496,48 +486,38 @@ def find_monomial_initial_form(
     ekeys = [(v * level + code, m) for v, (m, code) in zip(_term_values(esup, iw), extras)]
     products = sorted((ek + low, m, gi) for ek, m in ekeys for gi, low in enumerate(glow))
 
-    def hits():
-        # (lead, row) of the leads that are initial forms, lowest first
-        pivots: dict[int, dict[int, int]] = {}
-        untested: list[int] = []  # heap of pivot leads
-
-        def close(below: float):
-            # bring the values of the untested leads below ``below`` to
-            # reduced echelon form, one value at a time
-            while untested and untested[0] < below:
-                v = untested[0] // level
-                leads = []
-                while untested and untested[0] // level == v:
-                    leads.append(heappop(untested))
-                top, inside = (v + 1) * level, set(leads)
-                found = []
-                for lead in reversed(leads):
-                    row = pivots[lead]
-                    for c in [k for k in row if k in inside and k != lead]:
-                        _eliminate(row, pivots[c], c)
-                    if all(k == lead or k >= top for k in row):
-                        found.append((lead, row))
-                yield from reversed(found)
-
-        for low, _, gi in products:
-            # every value below this product's lowest one is closed
-            if untested and untested[0] < low // level * level:
-                yield from close(low // level * level)
+    pivots: dict[int, dict[int, int]] = {}
+    untested: list[int] = []  # heap of the leads of the values not yet closed
+    for low, _, gi in [*products, (inf, (), None)]:
+        # close each value that lies below this product's lowest column (the
+        # end sentinel closes the rest): bring its pivots to reduced echelon
+        # form from the highest lead down, then test its leads lowest first
+        while untested and (top := (untested[0] // level + 1) * level) <= low:
+            leads = []
+            while untested and untested[0] < top:
+                leads.append(heappop(untested))
+            inside = set(leads)
+            for lead in reversed(leads):
+                row = pivots[lead]
+                for c in [k for k in row if k in inside and k != lead]:
+                    _eliminate(row, pivots[c], c)
+            for lead in leads:
+                row = pivots[lead]
+                if any(lead < k < top for k in row):
+                    continue  # another column of the value is left
+                # any nonzero multiple of the row certifies; the negation is
+                # the sign pinned by tests/test_commuting.py
+                f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in row.items())
+                vals = _term_values(_support(f), iw)
+                cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
+                if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == lead:
+                    return cert
+        if gi is not None:
             row = {k + low - glow[gi]: c for k, c in gterms[gi]}
             lead = _reduce(row, pivots)
             if lead is not None:
                 pivots[lead] = row
                 heappush(untested, lead)
-        yield from close(inf)
-
-    for lead, row in hits():
-        # any nonzero multiple of the row certifies; the negation is the
-        # sign pinned by tests/test_commuting.py
-        f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in row.items())
-        vals = _term_values(_support(f), iw)
-        cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
-        if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == lead:
-            return cert
     return None
 
 

@@ -352,10 +352,11 @@ def trop_pow(a: TropMatrix, m: int) -> TropMatrix:
     """m-fold min-plus product, m >= 1."""
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    out = a
+    (x,), d = _int_grids(a.rows)
+    out = x
     for _ in range(m - 1):
-        out = trop_mul(out, a)
-    return out
+        out = _int_mul(out, x)
+    return _from_int_grid(out, d)
 
 
 def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:

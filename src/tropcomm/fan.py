@@ -357,7 +357,8 @@ def maximal_cell_orbits(
 ) -> list[Orbit]:
     """Group the top-dimensional cells under the row/column + swap action.
 
-    The action on variables follows from ``names`` (see
+    The group is S_n x S2, n the largest index digit of ``names``, and its
+    action on variables follows from ``names`` (see
     :func:`tropcomm.commuting.variable_permutation`).  Orbits are sorted by
     size; each cell is reported with its per-generator tied monomial pairs
     (variable-name strings).  AssertionError if an image of a maximal cell
@@ -367,7 +368,8 @@ def maximal_cell_orbits(
         return []
     top = max(c.dim for c in cells)
     maximal = {c.pattern for c in cells if c.dim == top}
-    actions = [_pattern_action(ge, gens, names) for ge in group_elements(3)]
+    n = max(int(c) for nm in names for c in nm[1:])
+    actions = [_pattern_action(ge, gens, names) for ge in group_elements(n)]
     seen: set[Pattern] = set()
     orbits = []
     for pattern in sorted(maximal):

@@ -118,10 +118,8 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
-    def mul_monomial(self, m: Monomial, k: int = 1) -> "SparsePoly":
-        return SparsePoly.from_terms(
-            ((tuple(a + b for a, b in zip(mm, m)), k * c) for mm, c in self.terms)
-        )
+    def mul_monomial(self, m: Monomial) -> "SparsePoly":
+        return SparsePoly.from_terms((tuple(a + b for a, b in zip(mm, m)), c) for mm, c in self.terms)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         acc: dict[Monomial, int] = {}

@@ -303,20 +303,26 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     """A commuting series lift (X, Y) with val X = a, val Y = b.
 
     Uses the ansatz Y = alpha*I + t^v * X with X monomial off the diagonal:
-    v is pinned by the off-diagonal valuations (the exchange relation makes
-    the two requirements agree), and the diagonal of X carries at most one
-    extra term so cancellation against alpha produces the demanded
-    valuations.  Every returned pair passes the check of
-    :func:`verify_lift`: XY - YX is zero exactly and the valuations are a
-    and b.
+    v = b12 - a12 is pinned by the off-diagonal valuations (the exchange
+    relation a12 + b21 == a21 + b12 makes the two requirements agree), and
+    the diagonal of X carries at most one extra term so cancellation
+    against alpha produces the demanded valuations.  With w_i = v + a_ii
+    and m_i = min(b_ii, w_i), alpha is 0 when b_ii == w_i for both i and
+    t^max(m_1, m_2) otherwise.  An entry with b_ii != w_i forces
+    val(alpha) = m_i, and one with b_ii == w_i needs val(alpha) >= w_i (the
+    coefficients 1 + 1 never cancel).  On Tpre2 the minimum of {b11, b22,
+    w1, w2} is attained twice, which settles the three cases: two forced
+    entries have the same m_i (that minimum); a forced m_i is >= the w_j of
+    a tied entry (else m_i would be the minimum, attained once); and with
+    both entries tied alpha = 0 fits.  Every returned pair passes the check
+    of :func:`verify_lift`: XY - YX is zero exactly and the valuations are
+    a and b.
 
     The precondition is :func:`tropcomm.commuting.in_tc2`, i.e. membership
     in the prevariety Tpre2, with its exceptions in its order.  The ansatz
-    covers all of Tpre2 (the forced valuations of alpha agree exactly when
-    the minimum of {b11, b22, v+a11, v+a22} is attained twice), so None on
-    a Tpre2 point is a bug.  The test, the ansatz and the check run on the
-    entries of a and b scaled to ints by one lcm D; Fractions are built for
-    the returned terms only.
+    covers all of Tpre2, so None on a Tpre2 point is a bug.  The test, the
+    ansatz and the check run on the entries of a and b scaled to ints by
+    one lcm D; Fractions are built for the returned terms only.
     """
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
@@ -328,27 +334,8 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     v = bv[0][1] - av[0][1]
     w = [v + av[0][0], v + av[1][1]]
     diag = [bv[0][0], bv[1][1]]
-
-    # per-entry requirement on val(alpha): a point, or a ray [w_i, +inf]
-    req: list[Optional[int]] = []
-    rays: list[int] = []
-    for i in (0, 1):
-        if diag[i] < w[i]:
-            req.append(diag[i])
-        elif diag[i] > w[i]:
-            req.append(w[i])
-        else:
-            req.append(None)
-            rays.append(w[i])
-    forced = [r for r in req if r is not None]
     # the terms (scaled exponent, coefficient) of alpha
-    alpha: list[tuple[int, int]] = []
-    if forced:
-        if len(forced) == 2 and forced[0] != forced[1]:
-            return None
-        if any(forced[0] < r for r in rays):
-            return None
-        alpha = [(forced[0], 1)]
+    alpha = [] if diag == w else [(max(map(min, diag, w)), 1)]
 
     # the diagonal entries u_i of t^v * X; alpha's coefficient is 1, so
     # where diag_i == w_i the entry alpha + u_i never cancels

@@ -4,12 +4,16 @@ re-exports only names its modules declare public."""
 import ast
 import importlib
 import pkgutil
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import tropcomm
+from tropcomm import INF, SparsePoly, TropMatrix, TropVector, matrix_variables, monomial, trop_mul
+from tropcomm.core import TropScalar, scalar_to_text
+from tropcomm.series import format_series, parse_series
 
 MODULES = sorted(name for _, name, _ in pkgutil.iter_modules(tropcomm.__path__))
 
@@ -101,3 +105,27 @@ def test_every_private_name_is_read(name):
         if not any(n in read for other, read in reads if other is not stmt)
     ]
     assert dead == []
+
+
+def test_public_operators_stand_for_their_named_functions():
+    """Each operator and ``__str__`` of the public types gives what the
+    named function it stands for gives."""
+    a = TropMatrix.of([[0, Fraction(1, 2)], ["inf", -3]])
+    b = TropMatrix.of([[Fraction(-7, 3), 2], [1, "inf"]])
+    assert a @ b == trop_mul(a, b) and b @ a == trop_mul(b, a)
+    assert str(a) == "0  1/2\ninf  -3"
+    assert str(a) == "\n".join("  ".join(map(scalar_to_text, row)) for row in a.rows)
+
+    s = TropScalar(Fraction(-7, 3))
+    assert str(s) == scalar_to_text(s) == "-7/3" and str(INF) == scalar_to_text(INF) == "inf"
+    v = TropVector((s, INF, TropScalar(Fraction(4))))
+    assert str(v) == "(-7/3, inf, 4)" == "(" + ", ".join(map(scalar_to_text, v.entries)) + ")"
+
+    names = matrix_variables(2)
+    f = SparsePoly.from_terms([(monomial(names, "x11", "y12"), 3), (monomial(names, "x21"), -1)])
+    m = monomial(names, "y21", "y21")
+    assert f * SparsePoly.from_terms([(m, 1)]) == f.mul_monomial(m)
+    assert list(f) == list(f.terms)
+
+    p = parse_series("2 - t^(1/2) + 3/4*t^3")
+    assert str(p) == format_series(p) == "2 - t^(1/2) + 3/4*t^3"

@@ -89,6 +89,18 @@ def test_trop_pow():
         trop_pow(EX7_A, 0)
 
 
+def test_trop_pow_is_the_iterated_product_on_mixed_denominators():
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        a = TropMatrix.of([[rng.choice(["inf", Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 7)))])
+                            for _ in range(n)] for _ in range(n)])
+        power = a
+        for m in range(1, 5):
+            assert trop_pow(a, m) == power
+            power = trop_mul(power, a)
+
+
 def test_size_mismatch():
     with pytest.raises(SizeMismatchError):
         trop_add(S31_A, EX7_A)

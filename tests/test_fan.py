@@ -445,6 +445,19 @@ def test_maximal_cell_orbits_of_the_symmetric_3x3_prevariety():
     )
 
 
+def test_maximal_cell_orbits_of_the_2x2_prevariety():
+    # the group is S2 x S2, read from the 2x2 variable names
+    cfg = named_config("commuting:n=2")
+    cells = enumerate_cells(list(cfg.gens), cfg.dim)
+    orbits = maximal_cell_orbits(cells, list(cfg.gens), cfg.names)
+    assert sum(c.dim == 6 for c in cells) == 6
+    assert [(o.size, o.cells) for o in orbits] == [
+        (2, (((0, 1), (0, 1), (0, 1)), ((0, 1), (2, 3), (2, 3)))),
+        (2, (((0, 1), (0, 2), (0, 2)), ((0, 1), (1, 3), (1, 3)))),
+        (2, (((0, 1), (0, 3), (0, 3)), ((0, 1), (1, 2), (1, 2)))),
+    ]
+
+
 @pytest.mark.parametrize("missing", [p for orbit in SYMMETRIC_3_ORBITS[1:] for p in orbit])
 def test_maximal_cell_orbits_need_every_orbit_member(missing):
     cfg = named_config("symmetric:n=3")
