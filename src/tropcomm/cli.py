@@ -155,7 +155,8 @@ def _generators_from_file(path: str) -> tuple[list[SparsePoly], int]:
 
 def cmd_fan(args: argparse.Namespace) -> int:
     if args.config.endswith(".json"):
-        # a file's variable names are only checked: --orbits needs symmetric:n=3
+        # a file's variable names are only checked: --orbits needs a named
+        # configuration, whose names carry the group
         gens, dim = _generators_from_file(args.config)
         label, names = args.config, ()
     else:
@@ -166,8 +167,8 @@ def cmd_fan(args: argparse.Namespace) -> int:
         return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
     if args.jobs < 1:
         return _fail(EXIT_PARSE, f"--jobs must be >= 1, not {args.jobs}")
-    if args.orbits and label != "symmetric:n=3":
-        return _fail(EXIT_UNSUPPORTED, "--orbits needs the symmetric:n=3 configuration")
+    if args.orbits and not names:
+        return _fail(EXIT_UNSUPPORTED, "--orbits needs a named configuration, not a generator file")
     lin = fan_mod.lineality_dim(gens, dim)
     try:
         cells = fan_mod.enumerate_cells(gens, dim, budget=args.budget, jobs=args.jobs)
@@ -193,11 +194,14 @@ def cmd_fan(args: argparse.Namespace) -> int:
         "max_dim": max((c.dim for c in cells), default=None),  # null: empty prevariety
     }
     if args.emit_cells:
+        # witness values are shared objects (see fan_mod.Cell): one string each
+        shared = {id(x): x for c in cells for x in c.witness}
+        strings = {i: str(x) for i, x in shared.items()}
         report["cells"] = [
             {
                 "pattern": [list(s) for s in c.pattern],
                 "dim": c.dim,
-                "witness": [str(x) for x in c.witness],
+                "witness": [strings[id(x)] for x in c.witness],
             }
             for c in cells
         ]

@@ -13,6 +13,7 @@ rational witness from the exact LP.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -80,13 +81,15 @@ Pattern = tuple[tuple[int, ...], ...]
 PatternAction = list[tuple[int, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """A relatively open cell: its argmin pattern, dimension and an exact
     interior witness.
 
     Its system is ``cell_system(gens, cell.pattern)``: the tie rows (= 0 on
-    the cell) and the strict rows (< 0 on the relative interior)."""
+    the cell) and the strict rows (< 0 on the relative interior).  Witness
+    entries are immutable ``Fraction``s, one object per value shared by all
+    the cells of one enumeration (of one pool task, when a pool runs it)."""
 
     pattern: Pattern
     dim: int
@@ -245,12 +248,16 @@ def _verify_cell(gens_terms: Sequence[SparseTerms], pattern: Pattern, w: Sequenc
             raise AssertionError(f"witness does not realize pattern {pattern}")
 
 
-def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[tuple[Pattern, int, Row, int]]:
-    """(pattern, dim, W, d) of every cell below the first-level choices
-    ``firsts`` (indices into the first generator's subsets), W/d its verified
-    witness.  Depth first on a stack of (node, pattern); level = len(pattern)."""
+def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[Cell]:
+    """Every cell below the first-level choices ``firsts`` (indices into the
+    first generator's subsets), with its verified witness.  Depth first on a
+    stack of (node, pattern); level = len(pattern).  Each witness value is
+    built once, as one ``Fraction`` that all these cells share."""
     gens_terms = [_sparse_terms(terms) for terms, _, _ in tables]
-    out: list[tuple[Pattern, int, Row, int]] = []
+    values: dict[Fraction, Fraction] = {}
+    # shared[d][x] is the one Fraction of value x/d
+    shared: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)
+    out: list[Cell] = []
     stack: list[tuple[Node, Pattern]] = [(({}, {}), ())]
     while stack:
         node, pattern = stack.pop()
@@ -272,7 +279,12 @@ def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[tuple[Pat
             else:
                 w, d = found
                 _verify_cell(gens_terms, child_pattern, w)
-                out.append((child_pattern, dim - len(child[0]), w, d))
+                by_x = shared[d]
+                for x in w:
+                    if x not in by_x:
+                        value = Fraction(x, d)
+                        by_x[x] = values.setdefault(value, value)
+                out.append(Cell(child_pattern, dim - len(child[0]), tuple(map(by_x.__getitem__, w))))
     return out
 
 
@@ -289,6 +301,7 @@ def enumerate_cells(
     process pool of min(jobs, CPU count, branches) workers when the candidate
     product exceeds four times the first generator's subsets, and runs
     serially otherwise; the result is identical and deterministically ordered.
+    The walk builds the cells themselves; here they are only sorted.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -304,15 +317,11 @@ def enumerate_cells(
 
         tasks = [(tables, dim, (i,)) for i in range(nfirst)]
         with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, nfirst)) as pool:
-            raw = [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
+            cells = [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
     else:
-        raw = _enumerate_branch(tables, dim, range(nfirst))
-
-    raw.sort(key=lambda c: c[0])
-    return [
-        Cell(pattern=pattern, dim=dim_cell, witness=tuple(Fraction(x, d) for x in w))
-        for pattern, dim_cell, w, d in raw
-    ]
+        cells = _enumerate_branch(tables, dim, range(nfirst))
+    cells.sort(key=lambda c: c.pattern)
+    return cells
 
 
 def f_vector(cells: Sequence[Cell], lineality_dim: int) -> FVector:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from tropcomm import symmetric_generators
 from tropcomm.cli import main
 
 from helpers import (
@@ -125,10 +126,45 @@ def test_fan_rejects_budget_option_below_one(capsys, value):
     assert err.startswith("error:") and "--jobs" in err and value in err
 
 
-def test_fan_orbits_need_the_symmetric_configuration(capsys):
-    code, out, err = run(capsys, "fan", "commuting:n=2", "--orbits")
+def test_fan_orbits_refuse_a_generator_file(tmp_path, capsys):
+    """A file's variable names are only checked, so they carry no group."""
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "variables": ["x11", "y11"],
+        "generators": [[{"exponents": [1, 0]}, {"exponents": [0, 1], "coefficient": -1}]],
+    }))
+    code, out, err = run(capsys, "fan", str(path), "--orbits")
     assert code == 3 and out == ""
-    assert err.startswith("error:") and "symmetric:n=3" in err
+    assert err.startswith("error:") and "--orbits" in err
+
+
+def test_fan_orbits_of_commuting_2(capsys):
+    """The group S2 x S2 is read from the names x11..y22."""
+    code, out, _ = run(capsys, "fan", "commuting:n=2", "--orbits")
+    assert code == 0
+    report = json.loads(out)
+    assert [o["size"] for o in report["orbits"]] == [2, 2, 2]
+    assert [o["label"] for o in report["orbits"]] == ["I", "II", "III"]
+
+
+def test_fan_file_cells_are_the_same_through_the_pool(tmp_path, capsys):
+    """The g23/g13 pair of the symmetric generators, as a generator file:
+    ``--jobs 2`` runs one pool task per first-level subset, whose cells
+    come back pickled, and the report is byte for byte the serial one."""
+    g12, g13, g23 = symmetric_generators()
+    path = tmp_path / "g23g13.json"
+    path.write_text(json.dumps({
+        "dimension": 12,
+        "generators": [
+            [{"exponents": list(m), "coefficient": c} for m, c in g.terms] for g in (g23, g13)
+        ],
+    }))
+    code, serial, _ = run(capsys, "fan", str(path), "--emit-cells")
+    assert code == 0
+    assert json.loads(serial)["cell_count"] == 2769
+    code, pooled, _ = run(capsys, "fan", str(path), "--emit-cells", "--jobs", "2")
+    assert code == 0 and pooled == serial
 
 
 @pytest.mark.parametrize("argv", [("gens", "--n", "10"), ("fan", "commuting:n=10")])
