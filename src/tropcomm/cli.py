@@ -80,6 +80,11 @@ def _yesno(flag: bool, witness=None) -> str:
     return f"no {witness}" if witness else "no"
 
 
+def _searched(deep: bool) -> str:
+    """What a 3x3 certificate search covered, for its "unknown" verdict."""
+    return "witness families and the degree-4 slice" if deep else "witness families"
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     obj = load_json(args.pair)
     a, b = pair_from_json(obj)
@@ -99,7 +104,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif cls.certificate is not None:
             tc = f"TC3: certified-out ({cls.certificate.monomial_name()})"
         else:
-            tc = "TC3: unknown"
+            tc = f"TC3: unknown (searched: {_searched(True)})"
         lines.append(f"TS: {ts}, Tpre: {tpre}, {tc}")
     both_polytropes = is_polytrope(a) and is_polytrope(b)
     lines.append(f"polytropes: {'yes' if both_polytropes else 'no'}")
@@ -253,9 +258,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if in_region(cls):
             print(f"found after {draw} draws (seed {args.seed})")
             print(json.dumps(pair_to_json(a, b), sort_keys=True))
-            tc = cls.tc_status
             if cls.certificate is not None:
                 tc = f"certified-out ({cls.certificate.monomial_name()})"
+            else:
+                tc = f"unknown (searched: {_searched(args.deep)})"
             print(f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, TC3: {tc}")
             return EXIT_OK
     print(f"error: no {args.region} pair in {args.max_draws} draws (seed {args.seed})", file=sys.stderr)
@@ -296,7 +302,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return _fail(EXIT_UNSUPPORTED, "certificates are implemented for n=3")
     cert = certify_not_in_tc3(a, b, deep=not args.shallow)
     if cert is None:
-        print(json.dumps({"status": "unknown"}))
+        print(json.dumps({"status": "unknown", "searched": _searched(not args.shallow)}))
         return EXIT_OK
     names = matrix_variables(3)
     out = {

@@ -380,19 +380,21 @@ def _code(m: Monomial, base: int) -> int:
 
 
 @cache
-def _slice_data(n: int, degree: int) -> tuple[tuple, tuple]:
+def _slice_data(n: int, degree: int) -> tuple[Support, tuple[int, ...], tuple, tuple[int, ...]]:
     """The weight-independent data of the degree-d slice search, built once
-    per (n, d), codes in base d + 1: the degree d-2 monomials as (support,
-    ((monomial, code), ...)), and each generator as (support, ((code,
-    coefficient), ...)), both in term order."""
+    per (n, d), codes in base d + 1: the degree d-2 monomials' support and
+    codes, each generator as (support, ((code, coefficient), ...)) in term
+    order, and the indices of the diagonal generators g_ii when all n of
+    them are generators (they then sum to zero, the trace of XY - YX), else
+    ().  For n = 2 that is (): g22 = -g11 is no generator."""
     base = degree + 1
     names = matrix_variables(n)
     extras = [monomial(names, *c) for c in combinations_with_replacement(names, degree - 2)]
-    gens = tuple(
-        (_support(g), tuple((_code(m, base), c) for m, c in g.terms))
-        for g in generators(n)
-    )
-    return (tuple(map(_exponents, extras)), tuple((m, _code(m, base)) for m in extras)), gens
+    labeled = labeled_generators(n)
+    gens = tuple((_support(g), tuple((_code(m, base), c) for m, c in g.terms)) for _, g in labeled)
+    diagonal = tuple(gi for gi, ((k, l), _) in enumerate(labeled) if k == l)
+    return (tuple(map(_exponents, extras)), tuple(_code(m, base) for m in extras), gens,
+            diagonal if len(diagonal) == n else ())
 
 
 def _decode(key: int, base: int, nvars: int) -> Monomial:
@@ -403,8 +405,12 @@ def _decode(key: int, base: int, nvars: int) -> Monomial:
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
     """row := mul*row - sub*prow in place, with the least mul, sub that
     clear column c; after a step with mul != 1 the content is divided out."""
-    g = gcd(row[c], prow[c])
-    mul, sub = prow[c] // g, row[c] // g
+    p = prow[c]
+    if p == 1:
+        mul, sub = 1, row[c]
+    else:
+        g = gcd(row[c], p)
+        mul, sub = p // g, row[c] // g
     if mul != 1:
         for k in row:
             row[k] *= mul
@@ -433,6 +439,17 @@ def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> Optional[
     return None
 
 
+def _back_substitute(rows: dict[int, dict[int, int]], leads: list[int]) -> None:
+    """Bring the rows of the ascending ``leads`` of one value (``rows`` maps
+    a lead to its row) to reduced echelon form inside that value: from the
+    highest lead down, clear the other leads from each row."""
+    inside = set(leads)
+    for lead in reversed(leads):
+        row = rows[lead]
+        for c in [k for k in row if k in inside and k != lead]:
+            _eliminate(row, rows[c], c)
+
+
 def find_monomial_initial_form(
     a: TropMatrix, b: TropMatrix, *, degree: int = 4
 ) -> Optional[NonMembershipCertificate]:
@@ -446,23 +463,29 @@ def find_monomial_initial_form(
 
     Columns are ordered by (value, monomial) and a row pivots on its lowest
     column, so reduction only raises a row's lowest column and a pivot's
-    lead never changes.  Products go in in order of their lowest column.
-    Once all products whose lowest value is <= v are in, the pivots with a
-    lead of value v are final, and their value-v parts (initial forms) span
-    the value-v part of in_w(I)_d: a basis with distinct leads under an
-    order that refines w has initial forms that span the initial ideal
-    (Maclagan-Sturmfels 2015, section 2.4).  Only a lead can be a unique
-    minimal term.
+    lead never changes.  Products go in in order of their lowest column,
+    ties broken by the degree d-2 monomial, then the generator.  For n >= 3
+    the diagonal generators sum to zero (the trace of XY - YX), so for each
+    monomial the diagonal product that comes last in this order lies in the
+    span of the rows before it: it would reduce to zero, and it is left out
+    (the same generator for every monomial).  Once all products whose
+    lowest value is <= v are in, the pivots with a lead of value v are
+    final, and their value-v parts (initial forms) span the value-v part of
+    in_w(I)_d: a basis with distinct leads under an order that refines w
+    has initial forms that span the initial ideal (Maclagan-Sturmfels 2015,
+    section 2.4).  Only a lead can be a unique minimal term.
 
     One fraction-free integer elimination decides and certifies.  When a
-    value closes, its pivots are brought to reduced echelon form inside that
-    value, from the highest lead down.  That form is unique and a unit
-    vector lies in the span iff it is one of its rows, so a lead is an
-    initial form iff no other column of its value is left in its row.  Such
-    a row is a combination of products whose only term of value <= v is the
-    lead: negated, it is the certificate, each column read back as its
-    monomial.  Its term values, read on the same scaled ints, must have the
-    lead as their unique minimal term.
+    value closes, its pivots leave the elimination: every later row starts
+    above the value.  The value-v parts of its rows are brought to reduced
+    echelon form inside that value, from the highest lead down.  That form
+    is unique and a unit vector lies in the span iff it is one of its rows,
+    so a lead is an initial form iff it is left alone in its part.  Only
+    then are the value's whole rows brought to that form, by the same steps.
+    A lone lead's row is then a combination of products whose only term of
+    value <= v is the lead: negated, it is the certificate, each column read
+    back as its monomial.  Its term values, read on the same scaled ints,
+    must have the lead as their unique minimal term.
 
     At the default degree 4 the search is complete: None proves that no
     monomial of degree <= 4 lies in in_w(I) (one of lower degree times a
@@ -477,37 +500,38 @@ def find_monomial_initial_form(
 
     # a column (value, monomial) is the one int value*level + code, in the
     # same order; keys add up under multiplication while the degree is <= d
-    (esup, extras), gcodes = _slice_data(a.n, degree)
+    esup, ecodes, gcodes, diagonal = _slice_data(a.n, degree)
     gterms = [[(v * level + code, c) for v, (code, c) in zip(_term_values(sup, iw), terms)]
               for sup, terms in gcodes]
     glow = [min(k for k, _ in t) for t in gterms]
-    # the products (degree d-2 monomial m) x generator gi, by lowest column;
-    # m only breaks ties, which decides the row that becomes a pivot
-    ekeys = [(v * level + code, m) for v, (m, code) in zip(_term_values(esup, iw), extras)]
-    products = sorted((ek + low, m, gi) for ek, m in ekeys for gi, low in enumerate(glow))
+    # the products (degree d-2 monomial m) x generator gi as (lowest column,
+    # m's code, gi); the code orders as m does, and the tie-break decides the
+    # row that becomes a pivot.  For one m the diagonal products order by
+    # (glow, gi), so the last of them is the same gi for every m
+    skip = max(diagonal, key=lambda gi: (glow[gi], gi), default=None)
+    products = sorted((v * level + code + low, code, gi)
+                      for v, code in zip(_term_values(esup, iw), ecodes)
+                      for gi, low in enumerate(glow) if gi != skip)
 
     pivots: dict[int, dict[int, int]] = {}
     untested: list[int] = []  # heap of the leads of the values not yet closed
-    for low, _, gi in [*products, (inf, (), None)]:
+    for low, _, gi in [*products, (inf, 0, None)]:
         # close each value that lies below this product's lowest column (the
-        # end sentinel closes the rest): bring its pivots to reduced echelon
-        # form from the highest lead down, then test its leads lowest first
+        # end sentinel closes the rest) and test its leads lowest first
         while untested and (top := (untested[0] // level + 1) * level) <= low:
             leads = []
             while untested and untested[0] < top:
                 leads.append(heappop(untested))
-            inside = set(leads)
-            for lead in reversed(leads):
-                row = pivots[lead]
-                for c in [k for k in row if k in inside and k != lead]:
-                    _eliminate(row, pivots[c], c)
-            for lead in leads:
-                row = pivots[lead]
-                if any(lead < k < top for k in row):
-                    continue  # another column of the value is left
+            rows = {lead: pivots.pop(lead) for lead in leads}
+            parts = {lead: {k: c for k, c in row.items() if k < top} for lead, row in rows.items()}
+            _back_substitute(parts, leads)
+            alone = [lead for lead in leads if len(parts[lead]) == 1]
+            if alone:
+                _back_substitute(rows, leads)
+            for lead in alone:
                 # any nonzero multiple of the row certifies; the negation is
                 # the sign pinned by tests/test_commuting.py
-                f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in row.items())
+                f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in rows[lead].items())
                 vals = _term_values(_support(f), iw)
                 cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
                 if cert is not None and min(vals) * level + _code(cert.unique_min_monomial, base) == lead:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
+from math import gcd, inf
 
-from tropcomm import TropMatrix, TropVector, commutator_entry
-from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO
+from tropcomm import TropMatrix, TropVector, commutator_entry, generators, weight_of_pair
+from tropcomm.commuting import _code, _decode, _exponents, _support, _term_values, _unique_min
+from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO, _lcm_scale
 from tropcomm.fan import _extend
-from tropcomm.polynomials import Monomial, SparsePoly
+from tropcomm.polynomials import Monomial, SparsePoly, matrix_variables, monomial
 from tropcomm.polytrope import (
     CommutClassification,
     NotInImageError,
@@ -376,6 +379,94 @@ def initial_slice_ranks(
     rank = len(pivots)
     insert({target: Fraction(1)})
     return rank, len(pivots)
+
+
+def _fraction_free_step(row: dict[int, int], prow: dict[int, int], c: int) -> None:
+    """row := mul*row - sub*prow with the least mul, sub that clear column
+    c (mul from a gcd, even when prow[c] is 1); after a step with mul != 1
+    the content is divided out."""
+    g = gcd(row[c], prow[c])
+    mul, sub = prow[c] // g, row[c] // g
+    if mul != 1:
+        for k in row:
+            row[k] *= mul
+    for k, x in prow.items():
+        nx = row.get(k, 0) - sub * x
+        if nx:
+            row[k] = nx
+        else:
+            del row[k]
+    if mul != 1:
+        g = gcd(*row.values())
+        if g > 1:
+            for k in row:
+                row[k] //= g
+
+
+@cache
+def _degree_monomials(n: int, degree: int) -> tuple[list[Monomial], tuple[tuple[int, ...], ...]]:
+    """The monomials of one degree in the 2n^2 variables, in the order of
+    ``combinations_with_replacement``, and their supports."""
+    names = matrix_variables(n)
+    extras = [monomial(names, *c) for c in combinations_with_replacement(names, degree)]
+    return extras, tuple(map(_exponents, extras))
+
+
+def slice_search_oracle(a: TropMatrix, b: TropMatrix, degree: int = 4):
+    """Reference loop for ``commuting.find_monomial_initial_form``, which
+    must return the same certificate (or None), byte for byte.
+
+    Every product (degree d-2 monomial m) x generator goes into one
+    fraction-free elimination, in the order (lowest column, m as an exponent
+    tuple, generator), the trace-dependent ones included.  When a value
+    closes, the whole rows of its pivots are brought to reduced echelon
+    form inside the value, from the highest lead down, and stay in the
+    elimination; the first lead left alone in its value whose negated row
+    has it as unique minimal term is the hit.
+    """
+    iw, d = _lcm_scale(weight_of_pair(a, b))
+    base = degree + 1
+    level = base ** len(iw)
+
+    def key(v: int, m: Monomial) -> int:
+        return v * level + _code(m, base)
+
+    gterms = [[(key(v, m), c) for v, (m, c) in zip(_term_values(_support(g), iw), g.terms)]
+              for g in generators(a.n)]
+    glow = [min(k for k, _ in t) for t in gterms]
+    extras, esup = _degree_monomials(a.n, degree - 2)
+    evals = _term_values(esup, iw)
+    products = sorted((key(v, m) + low, m, gi)
+                      for v, m in zip(evals, extras) for gi, low in enumerate(glow))
+    pivots: dict[int, dict[int, int]] = {}
+    untested: list[int] = []
+    for low, _, gi in [*products, (inf, (), None)]:
+        while untested and (top := (untested[0] // level + 1) * level) <= low:
+            leads = []
+            while untested and untested[0] < top:
+                leads.append(heappop(untested))
+            inside = set(leads)
+            for lead in reversed(leads):
+                row = pivots[lead]
+                for c in [k for k in row if k in inside and k != lead]:
+                    _fraction_free_step(row, pivots[c], c)
+            for lead in leads:
+                row = pivots[lead]
+                if any(lead < k < top for k in row):
+                    continue
+                f = SparsePoly.from_terms((_decode(k, base, len(iw)), -c) for k, c in row.items())
+                vals = _term_values(_support(f), iw)
+                cert = _unique_min(f"slice[deg={degree}]", f, vals, d)
+                if cert is not None and key(min(vals), cert.unique_min_monomial) == lead:
+                    return cert
+        if gi is not None:
+            row = {k + low - glow[gi]: c for k, c in gterms[gi]}
+            while row and (c := min(row)) in pivots:
+                _fraction_free_step(row, pivots[c], c)
+            if row:
+                pivots[c] = row
+                heappush(untested, c)
+    return None
 
 
 def random_vector(rng: random.Random, n: int, lo: int = -1000, hi: int = 1000) -> TropVector:

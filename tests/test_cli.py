@@ -35,7 +35,7 @@ def run(capsys, *argv):
 def test_check_separating_pair_a(pair_file, capsys):
     code, out, _ = run(capsys, "check", pair_file("a", P7A_A, P7A_B))
     assert code == 0
-    assert "TS: yes, Tpre: yes, TC3: unknown" in out
+    assert "TS: yes, Tpre: yes, TC3: unknown (searched: witness families and the degree-4 slice)" in out
 
 
 def test_check_separating_pair_b(pair_file, capsys):
@@ -47,7 +47,7 @@ def test_check_separating_pair_b(pair_file, capsys):
 def test_check_separating_pair_c(pair_file, capsys):
     code, out, _ = run(capsys, "check", pair_file("c", P7C_E, P7C_F))
     assert code == 0
-    assert "TS: no (3,3), Tpre: yes, TC3: unknown" in out
+    assert "TS: no (3,3), Tpre: yes, TC3: unknown (searched: witness families and the degree-4 slice)" in out
 
 
 def test_check_polytrope_conditions(pair_file, capsys):
@@ -332,8 +332,11 @@ def test_certify_command(pair_file, capsys):
     assert cert["source"] == "g11"
     assert cert["min_monomial"] == "x12*y21"
 
+    # an "unknown" states what was searched
     code, out, _ = run(capsys, "certify", "--shallow", pair_file("a", P7A_A, P7A_B))
-    assert json.loads(out) == {"status": "unknown"}
+    assert json.loads(out) == {"status": "unknown", "searched": "witness families"}
+    code, out, _ = run(capsys, "certify", pair_file("a", P7A_A, P7A_B))
+    assert json.loads(out) == {"status": "unknown", "searched": "witness families and the degree-4 slice"}
 
 
 def test_lift_and_verify_round_trip(pair_file, tmp_path, capsys):
@@ -543,7 +546,8 @@ def test_sample_tpre_minus_ts(capsys):
     code, out, _ = run(capsys, "sample", "--region", "tpre-minus-ts", "--seed", "1", "--max-draws", "2000")
     assert code == 0
     assert "found after 1451 draws" in out
-    assert "TS: no, Tpre: yes" in out
+    # without --deep only the witness families are searched
+    assert "TS: no, Tpre: yes, TC3: unknown (searched: witness families)\n" in out
 
 
 def test_sample_certified_out(capsys):

@@ -36,7 +36,7 @@ from tropcomm.polynomials import (
 from helpers import (
     M, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F, S31_A, S31_B, TC2_A, TC2_B,
     fraction_classify_pair, in_ideal_slice, in_row_span, initial_slice_ranks, lineality_basis,
-    random_finite_matrix, random_prevariety_2x2_pair,
+    random_finite_matrix, random_prevariety_2x2_pair, slice_search_oracle,
 )
 
 X2 = matrix_variables(2)
@@ -383,6 +383,71 @@ def test_slice_certificates_are_pinned():
     assert found[True] >= 20 and found[False] >= 5, found
     digest = hashlib.sha256(repr(certs).encode()).hexdigest()
     assert digest == "3d9476585a149f4ad966a49c40ee6f604d0f7a8da3d1b245f868bd59d840ca52"
+
+
+def _oracle_inputs():
+    """(a, b, degree) of the searches compared with the reference loop: 100
+    seeded pairs each with entries in 0..2, 0..4, 0..8 and 0..30, golden
+    (a), (c) and the deep-only pair with two plain and two shifted S3 x S2
+    images each, the two shifted images above, four degree-5 searches and
+    the 2x2 README pair at degree 3."""
+    rng = random.Random(2002)
+
+    def draw(hi):
+        return M([[rng.randint(0, hi) for _ in range(3)] for _ in range(3)])
+
+    out = [(draw(hi), draw(hi), 4) for hi in (2, 4, 8, 30) for _ in range(100)]
+    for pair in [(_grid(P7A_A), _grid(P7A_B)), (_grid(P7C_E), _grid(P7C_F)), _DEEP_ONLY]:
+        out.append((M(pair[0]), M(pair[1]), 4))
+        out += [(*_group_image(pair, rng, shifted), 4) for shifted in (False, True) for _ in range(2)]
+    out += [(a, b, 4) for a, b in _SHIFTED]
+    out += [(P7C_E, P7C_F, 5), (M(_DEEP_ONLY[0]), M(_DEEP_ONLY[1]), 5), (draw(4), draw(4), 5), (draw(2), draw(2), 5)]
+    out.append((S31_A, S31_B, 3))
+    return out
+
+
+def test_slice_search_matches_the_reference_loop():
+    # the search leaves out the trace-dependent products, decides each
+    # closed value on its own columns and clears a lead of +1 without a
+    # gcd; none of that may change a certificate, its sign included, which
+    # the pinned digest alone does not show
+    inputs = _oracle_inputs()
+    assert len(inputs) >= 400
+    found = Counter()
+    for a, b, d in inputs:
+        cert = commuting.find_monomial_initial_form(a, b, degree=d)
+        assert repr(cert) == repr(slice_search_oracle(a, b, d)), (a, b, d)
+        found[cert is not None] += 1
+    assert found[True] >= 350 and found[False] >= 5, found
+
+
+def test_slice_search_work_is_counted(monkeypatch):
+    # one _reduce per product put in, None when it reduces to zero.  For
+    # each degree d-2 monomial the last of its three diagonal products is
+    # left out, so (a) and (c), which search their whole slice, put in 8 of
+    # 9 products per monomial: 171*8 at degree 4, 1,140*8 at degree 5
+    reduce = commuting._reduce
+    counts = Counter()
+
+    def counting(row, pivots):
+        lead = reduce(row, pivots)
+        counts["products"] += 1
+        counts["zero"] += lead is None
+        return lead
+
+    monkeypatch.setattr(commuting, "_reduce", counting)
+    for a, b in ((P7A_A, P7A_B), (P7C_E, P7C_F)):
+        for degree, products, zero in ((4, 1368, 67), (5, 9120, 868)):
+            counts.clear()
+            assert commuting.find_monomial_initial_form(a, b, degree=degree) is None
+            assert (counts["products"], counts["zero"]) == (products, zero), (degree, counts)
+    counts.clear()
+    cert = commuting.find_monomial_initial_form(M(_DEEP_ONLY[0]), M(_DEEP_ONLY[1]))
+    assert cert is not None and cert.monomial_name() == "x21*x32*y13*y33"
+    assert counts["products"] > 0 and counts["zero"] == 0
+    # for n = 2 the trace relation is g11 + g22 = 0 and g22 is no generator
+    assert commuting._slice_data(2, 3)[3] == ()
+    assert commuting._slice_data(3, 4)[3] == (0, 4, 8)
 
 
 @pytest.mark.parametrize("degree", [1, 0, -2])
