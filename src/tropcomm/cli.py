@@ -85,6 +85,14 @@ def _searched(deep: bool) -> str:
     return "witness families and the degree-4 slice" if deep else "witness families"
 
 
+def _tc3(cls, deep: bool) -> str:
+    """The TC3 verdict of a 3x3 classification: its certificate's
+    monomial, or what the search covered."""
+    if cls.certificate is not None:
+        return f"TC3: certified-out ({cls.certificate.monomial_name()})"
+    return f"TC3: unknown (searched: {_searched(deep)})"
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     obj = load_json(args.pair)
     a, b = pair_from_json(obj)
@@ -99,12 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             cls.tpre.ok,
             ",".join(_entry(e) for e in cls.tpre.failures) if cls.tpre.failures else None,
         )
-        if n == 2:
-            tc = f"TC2: {cls.tc_status}"
-        elif cls.certificate is not None:
-            tc = f"TC3: certified-out ({cls.certificate.monomial_name()})"
-        else:
-            tc = f"TC3: unknown (searched: {_searched(True)})"
+        tc = f"TC2: {cls.tc_status}" if n == 2 else _tc3(cls, True)
         lines.append(f"TS: {ts}, Tpre: {tpre}, {tc}")
     both_polytropes = is_polytrope(a) and is_polytrope(b)
     lines.append(f"polytropes: {'yes' if both_polytropes else 'no'}")
@@ -258,11 +261,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if in_region(cls):
             print(f"found after {draw} draws (seed {args.seed})")
             print(json.dumps(pair_to_json(a, b), sort_keys=True))
-            if cls.certificate is not None:
-                tc = f"certified-out ({cls.certificate.monomial_name()})"
-            else:
-                tc = f"unknown (searched: {_searched(args.deep)})"
-            print(f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, TC3: {tc}")
+            print(f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, {_tc3(cls, args.deep)}")
             return EXIT_OK
     print(f"error: no {args.region} pair in {args.max_draws} draws (seed {args.seed})", file=sys.stderr)
     return EXIT_EXHAUSTED
@@ -447,8 +446,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MatrixFormatError as exc:
         return _fail(EXIT_PARSE, str(exc))
-    except fan_mod.BudgetExceededError as exc:
-        return _fail(EXIT_BUDGET, str(exc))
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
 

@@ -481,7 +481,8 @@ def find_monomial_initial_form(
     echelon form inside that value, from the highest lead down.  That form
     is unique and a unit vector lies in the span iff it is one of its rows,
     so a lead is an initial form iff it is left alone in its part.  Only
-    then are the value's whole rows brought to that form, by the same steps.
+    then are the value's whole rows brought to that form, by the same steps,
+    from the first lone lead up: a row there has no entry at a lower lead.
     A lone lead's row is then a combination of products whose only term of
     value <= v is the lead: negated, it is the certificate, each column read
     back as its monomial.  Its term values, read on the same scaled ints,
@@ -527,7 +528,7 @@ def find_monomial_initial_form(
             _back_substitute(parts, leads)
             alone = [lead for lead in leads if len(parts[lead]) == 1]
             if alone:
-                _back_substitute(rows, leads)
+                _back_substitute(rows, leads[leads.index(alone[0]):])
             for lead in alone:
                 # any nonzero multiple of the row certifies; the negation is
                 # the sign pinned by tests/test_commuting.py

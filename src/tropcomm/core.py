@@ -399,7 +399,12 @@ def matrix_to_json(a: TropMatrix) -> dict:
     }
 
 
-def _entries_from_obj(entries: object, n: int, what: str) -> TropMatrix:
+def _entries_from_obj(obj: dict, what: str) -> TropMatrix:
+    """The n x n grid ``obj[what]`` of a matrix or pair object."""
+    n = obj["n"]
+    if type(n) is not int or n < 1:  # JSON true loads as bool, an int
+        raise MatrixFormatError("n must be a positive integer")
+    entries = obj[what]
     if (
         not isinstance(entries, list)
         or len(entries) != n
@@ -418,20 +423,14 @@ def matrix_from_json(obj: object) -> TropMatrix:
     """Parse the ``{"n": ..., "entries": ...}`` matrix object exactly."""
     if not isinstance(obj, dict) or "n" not in obj or "entries" not in obj:
         raise MatrixFormatError('expected {"n": int, "entries": [[...]]}')
-    n = obj["n"]
-    if type(n) is not int or n < 1:  # JSON true loads as bool, an int
-        raise MatrixFormatError("n must be a positive integer")
-    return _entries_from_obj(obj["entries"], n, "entries")
+    return _entries_from_obj(obj, "entries")
 
 
 def pair_from_json(obj: object) -> tuple[TropMatrix, TropMatrix]:
     """Parse ``{"n": int, "A": [[...]], "B": [[...]]}``."""
     if not isinstance(obj, dict) or not {"n", "A", "B"} <= set(obj):
         raise MatrixFormatError('expected {"n": int, "A": [[...]], "B": [[...]]}')
-    n = obj["n"]
-    if type(n) is not int or n < 1:  # JSON true loads as bool, an int
-        raise MatrixFormatError("n must be a positive integer")
-    return _entries_from_obj(obj["A"], n, "A"), _entries_from_obj(obj["B"], n, "B")
+    return _entries_from_obj(obj, "A"), _entries_from_obj(obj, "B")
 
 
 def pair_to_json(a: TropMatrix, b: TropMatrix) -> dict:

@@ -72,10 +72,9 @@ def _clip(poly: list[Point], a: Fraction, b: Fraction, c: Fraction) -> list[Poin
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     dedup: list[Point] = []
     for p in out:
-        if not dedup or (dedup[-1] != p and not (len(dedup) > 1 and p == dedup[0])):
+        # neither a repeat nor the closing duplicate of the first point
+        if not dedup or p not in (dedup[0], dedup[-1]):
             dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
     return dedup
 
 

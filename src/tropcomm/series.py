@@ -105,62 +105,33 @@ def format_series(s: SeriesPoly) -> str:
 
 
 _TERM_RE = re.compile(
-    r"""^\s*
-    (?P<sign>[+-])?\s*
-    (?P<coeff>\d+(?:/0*[1-9]\d*)?(?:\.\d+)?)?     # optional rational magnitude
-    \s*\*?\s*
-    (?P<t>t(?:\^(?P<exp>\(?-?\d+(?:/0*[1-9]\d*)?\)?))?)?
-    \s*$""",
+    r"""\s*(?P<sign>[+-])?\s*
+    (?:(?P<coeff>\d+(?:/0*[1-9]\d*|\.\d+)?)(?:\s*\*?\s*(?=t))?)?
+    (?P<t>t(?:\^(?P<open>\()?(?P<exp>-?\d+(?:/0*[1-9]\d*)?)(?(open)\)))?)?""",
     re.VERBOSE,
 )
 
 
-def _split_terms(text: str) -> list[str]:
-    """Split on top-level +/-; a sign after '^', '(', '*' or 'e' stays inside."""
-    out = []
-    depth = 0
-    cur = ""
-    prev = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and cur.strip() and prev not in "^(*":
-            out.append(cur)
-            cur = ch if ch == "-" else ""
-            prev = ch
-            continue
-        cur += ch
-        if not ch.isspace():
-            prev = ch
-    if cur.strip():
-        out.append(cur)
-    return out
-
-
 def parse_series(text: str) -> SeriesPoly:
-    """Parse sums of ``c*t^(p/q)`` terms: ``1+t``, ``t^4``, ``-2*t^(1/2)``."""
+    """Parse a sum of terms ``c*t^e``: ``1+t``, ``t^4``, ``-2*t^(1/2)``.
+
+    A term is a sign (required after the first term), a magnitude ``p``,
+    ``p/q`` or a decimal, and ``t``, ``t^p``, ``t^p/q`` or ``t^(p/q)``; it
+    needs a magnitude or t, and a ``*`` may stand only between the two.
+    The empty string is the zero series.  Anything else raises ValueError.
+    """
     if not isinstance(text, str):
         raise ValueError(f"series must be a string, not {text!r}")
     text = text.strip()
-    if not text or text == "0":
-        return SeriesPoly.zero()
-    terms = []
-    for chunk in _split_terms(text):
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("t") is None):
-            raise ValueError(f"bad series term: {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        if m.group("t") is None:
-            exp = Fraction(0)
-        elif m.group("exp") is None:
-            exp = Fraction(1)
-        else:
-            exp = Fraction(m.group("exp").strip("()"))
-        terms.append((exp, coeff))
+    terms, pos = [], 0
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if not (m["coeff"] or m["t"]) or (terms and not m["sign"]):
+            raise ValueError(f"bad series term: {text[pos:]!r}")
+        coeff = Fraction(m["coeff"] or 1)
+        exp = Fraction(m["exp"] or (1 if m["t"] else 0))
+        terms.append((exp, -coeff if m["sign"] == "-" else coeff))
+        pos = m.end()
     return SeriesPoly.from_terms(terms)
 
 

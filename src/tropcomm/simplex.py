@@ -9,15 +9,16 @@ strict solution), and the optimal vertex z is lifted back through the pivot
 rows to an interior rational witness.  Bland's rule guarantees termination
 on the degenerate start.
 
-All pivoting is on integer rows.  Elimination clears a column by
-cross-multiplying and divides each new row by the gcd of its entries; the
-simplex tableau does the same (Edmonds 1967; Bareiss 1968).  The tableau is
-condensed, as in Avis's lrs dictionary: a row stores the nonbasic columns,
-its basic variable's coefficient and the rhs, and no identity column.  The
-free z is split as z+ - z-, but column z-_j starts as the negated column
-z+_j and every row operation is linear, so it stays that: one column serves
-the pair while both are nonbasic, and Bland's rule and the ratio test read
-z-_j as -z+_j.
+All pivoting is on integer rows, by one step: clear a column by
+cross-multiplying with a positive pivot, then divide the new row by the gcd
+of its entries (Edmonds 1967; Bareiss 1968).  Elimination, the
+back-reduction of the pivot rows and the simplex tableau all use it.  The
+tableau is condensed, as in Avis's lrs dictionary: a row stores the
+nonbasic columns, its basic variable's coefficient and the rhs, and no
+identity column.  The free z is split as z+ - z-, but column z-_j starts
+as the negated column z+_j and every row operation is linear, so it stays
+that: one column serves the pair while both are nonbasic, and Bland's rule
+and the ratio test read z-_j as -z+_j.
 
 No ``Fraction`` is built: a witness w is returned as integers W with a
 positive denominator d, w = W/d.  The system is homogeneous, so W itself is
@@ -48,25 +49,21 @@ class UnboundedNormalizationError(RuntimeError):
 
 def primitive(row: Sequence[int]) -> Row:
     """Divide an integer row by the gcd of its entries (0 row unchanged)."""
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return tuple(row)
-    if g <= 1:
-        return tuple(row)
-    return tuple(x // g for x in row)
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def eliminate(row: Sequence[int], pivots: dict[int, Row]) -> Row:
-    """Reduce an integer row against integer pivot rows (exact, fraction-free)."""
-    r = list(row)
-    for c in sorted(pivots):
+    """Reduce an integer row against pivot rows as ``add_pivot`` builds them
+    (exact, fraction-free): the primitive positive multiple of row +
+    span(pivots) that vanishes on the pivot columns.  Each pivot row is
+    zero on the other pivot columns, so that row is unique and the pivots
+    may be read in any order."""
+    r = primitive(row)
+    for c, p in pivots.items():
         if r[c]:
-            p = pivots[c]
-            rc, pc = r[c], p[c]
-            r = [a * pc - b * rc for a, b in zip(r, p)]
-    return primitive(r)
+            r = _fraction_free(r, p, p[c], r[c])
+    return tuple(r)
 
 
 def add_pivot(pivots: dict[int, Row], row: Sequence[int]) -> Optional[int]:
@@ -79,8 +76,7 @@ def add_pivot(pivots: dict[int, Row], row: Sequence[int]) -> Optional[int]:
         r = tuple(-x for x in r)
     for col, p in list(pivots.items()):
         if p[c]:
-            pc, rc = p[c], r[c]
-            pivots[col] = primitive([a * rc - b * pc for a, b in zip(p, r)])
+            pivots[col] = tuple(_fraction_free(p, r, r[c], p[c]))
     pivots[c] = r
     return c
 
@@ -171,8 +167,9 @@ def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[int, l
     return x[2 * d], [x[j] - x[d + j] for j in range(d)], den
 
 
-def _fraction_free(row: list[int], prow: list[int], piv: int, f: int) -> list[int]:
-    """piv*row - f*prow divided by its gcd (piv > 0)."""
+def _fraction_free(row: Sequence[int], prow: Sequence[int], piv: int, f: int) -> list[int]:
+    """piv*row - f*prow divided by its gcd (piv > 0): the one row step of
+    ``eliminate``, ``add_pivot`` and the simplex tableau."""
     r = [piv * a - f * p for a, p in zip(row, prow)]
     g = gcd(*r)
     return [a // g for a in r] if g > 1 else r

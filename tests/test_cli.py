@@ -324,6 +324,15 @@ def test_gens_symmetric_needs_n_3(capsys, n):
     assert code == 0 and out == plain
 
 
+@pytest.mark.parametrize("argv", [
+    ("fan", "commuting:n=1"), ("fan", "commuting:n=x"), ("fan", "symmetric:n=2"), ("gens", "--n", "1"),
+])
+def test_an_unsupported_configuration_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_certify_command(pair_file, capsys):
     code, out, _ = run(capsys, "certify", pair_file("b", P7B_C, P7B_D))
     assert code == 0
@@ -418,6 +427,10 @@ _ZEROS2 = [["0", "0"], ["0", "0"]]
 
 @pytest.mark.parametrize("command, doc", [
     ("lift-verify", {"n": 2, "X": [["t^(1/0)", "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": [["9+", "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": [["1", "2*"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": [["1", "0"], ["1 + -45", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("lift-verify", {"n": 2, "X": [["1", "0"], ["0", "t^(1/2"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
     ("lift-verify", {"n": 2, "X": [[5, "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
     ("lift-verify", {"n": 2, "X": 5, "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
     ("fan", {"dimension": 2, "generators": [[5]]}),
@@ -429,7 +442,8 @@ _ZEROS2 = [["0", "0"], ["0", "0"]]
     ("check", {"n": True, "A": [["0"]], "B": [["0"]]}),
     ("check", {"n": 2, "A": [[True, 0], [0, 0]], "B": [[0, 0], [0, 0]]}),
 ], ids=[
-    "series-zero-denominator", "series-not-a-string", "series-not-a-grid",
+    "series-zero-denominator", "series-trailing-sign", "series-dangling-star",
+    "series-doubled-sign", "series-unbalanced-parenthesis", "series-not-a-string", "series-not-a-grid",
     "term-not-an-object", "generators-not-a-list", "fractional-exponent",
     "variables-not-a-list", "dimension-true", "star-n-true", "check-n-true",
     "entry-true",

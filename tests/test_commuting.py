@@ -30,6 +30,7 @@ from tropcomm.polynomials import (
     SparsePoly,
     matrix_variables,
     monomial,
+    monomial_str,
     symmetric_variables,
 )
 
@@ -57,6 +58,16 @@ def test_generators_n2():
         monomial(X2, "y11", "x12"): -1,
         monomial(X2, "y12", "x22"): -1,
     })
+
+
+def test_render_of_powers_constants_and_zero():
+    names = ("x", "y")
+    assert monomial_str((2, 0), names) == "x^2"
+    assert monomial_str((0, 0), names) == "1"
+    p = SparsePoly.from_terms([((2, 0), 1), ((0, 0), -3), ((1, 1), 2)])
+    assert p.render(names) == "x^2 + 2*x*y - 3"
+    assert SparsePoly.from_terms([((0, 0), 5)]).render(names) == "5"
+    assert SparsePoly.from_terms([]).render(names) == "0"
 
 
 def test_diagonal_entries_cancel_to_trace_zero():

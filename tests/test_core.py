@@ -106,6 +106,8 @@ def test_size_mismatch():
         trop_add(S31_A, EX7_A)
     with pytest.raises(SizeMismatchError):
         trop_mul(S31_A, EX7_A)
+    with pytest.raises(SizeMismatchError):
+        TropMatrix.of([[0, 1], [0]])
 
 
 def test_kleene_star_identity_and_oracle():
@@ -218,6 +220,8 @@ class _Half(Fraction):
 def test_scalar_of_accepted_types():
     q = Fraction(7, 3)
     assert TropScalar.of(q).value is q  # kept: Fraction is immutable
+    s = TropScalar.of(q)
+    assert TropScalar.of(s) is s
     assert TropScalar.of(4).value == 4
     assert TropScalar.of("4.10").value == Fraction(41, 10)
     sub = TropScalar.of(_Half(1, 2))

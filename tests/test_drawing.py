@@ -33,6 +33,15 @@ def test_tropical_segment_endpoints_and_bend():
     assert 2 <= len(pts) <= 4
 
 
+def test_segment_and_region_refuse_what_they_cannot_draw():
+    with pytest.raises(ValueError):
+        tropical_segment(TropVector.of([0, 0]), TropVector.of([0, 1]))
+    with pytest.raises(ValueError):
+        tropical_segment(TropVector.of([0, 0, 0]), TropVector.of([0, "inf", 1]))
+    with pytest.raises(ValueError):
+        region_vertices(TropMatrix.of([[0, 1, "inf"], [1, 0, 1], [1, 1, 0]]))
+
+
 def test_region_vertices_of_generic_star():
     m = TropMatrix.of([
         ["0", "69/50", "583/100"],

@@ -46,6 +46,31 @@ def test_parse_and_format_round_trip():
         parse_series("t^^2")
 
 
+def test_parse_series_accepted_forms():
+    assert S("2 t") == S("2t") == S("2 * t") == S("2*t")
+    assert S("t^1/2") == S("t^(1/2)") and S("t^(3)") == S("t^3")
+    assert S("+t - 1.5") == S("t - 3/2")
+    assert S("") == S("0") == SeriesPoly.zero()
+
+
+@pytest.mark.parametrize("text", ["9+", "t + ", "2*", "*t", "1 + -45", "t^(1/2", "t^1/2)"])
+def test_parse_series_refuses_malformed_text(text):
+    """A trailing sign, a * not between a magnitude and t, a doubled sign
+    and an unbalanced parenthesis are errors, not a shorter series."""
+    with pytest.raises(ValueError):
+        parse_series(text)
+
+
+def test_format_then_parse_is_the_identity_on_random_series():
+    rng = random.Random(2121)
+    for _ in range(1000):
+        s = SeriesPoly.from_terms(
+            (Fraction(rng.randint(-12, 12), rng.randint(1, 6)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 5))
+        )
+        assert parse_series(format_series(s)) == s
+
+
 def test_series_arithmetic():
     assert S("1+t") * S("1") == S("1+t")
     five = S("t^2") * S("t^3")
