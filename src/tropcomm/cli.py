@@ -37,7 +37,7 @@ from .core import (
 )
 from .drawing import render_polytrope_svg
 from .polynomials import SparsePoly, matrix_variables, monomial_str, symmetric_variables
-from .polytrope import classify_polytrope_pair, is_polytrope
+from .polytrope import NotPolytropeError, classify_polytrope_pair
 from .series import (
     LiftPreconditionError,
     SeriesMatrix,
@@ -93,6 +93,12 @@ def _tc3(cls, deep: bool) -> str:
     return f"TC3: unknown (searched: {_searched(deep)})"
 
 
+# the polytrope conditions' labels, keyed and ordered as the witnesses of
+# classify_polytrope_pair
+_CONDITIONS = {"commutes": "commutes", "star": "star-condition", "square": "square-condition",
+               "product": "product-condition"}
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     obj = load_json(args.pair)
     a, b = pair_from_json(obj)
@@ -109,28 +115,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
         tc = f"TC2: {cls.tc_status}" if n == 2 else _tc3(cls, True)
         lines.append(f"TS: {ts}, Tpre: {tpre}, {tc}")
-    both_polytropes = is_polytrope(a) and is_polytrope(b)
-    lines.append(f"polytropes: {'yes' if both_polytropes else 'no'}")
-    if both_polytropes:
-        pc = classify_polytrope_pair(a, b)
-        conditions = (
-            ("commutes", "commutes", pc.commutes),
-            ("star", "star-condition", pc.star_condition),
-            ("square", "square-condition", pc.square_condition),
-            ("product", "product-condition", pc.product_condition),
-        )
-        parts = []
-        for key, label, ok in conditions:
-            wit = pc.witnesses.get(key)
-            parts.append(f"{label}: {_yesno(ok, _entry(wit[0]) if wit else None)}")
-        lines.append(", ".join(parts))
-        for key, label, _ in conditions:
-            wit = pc.witnesses.get(key)
-            if wit:
-                at, lhs, rhs = wit
-                lines.append(
-                    f"witness-values: {label} {_entry(at)} {_fmt_scalar(lhs)} vs {_fmt_scalar(rhs)}"
-                )
+    try:
+        failed = classify_polytrope_pair(a, b).witnesses  # the failed conditions
+    except NotPolytropeError:
+        lines.append("polytropes: no")
+    else:
+        lines.append("polytropes: yes")
+        lines.append(", ".join(f"{label}: no {_entry(failed[key][0])}" if key in failed else f"{label}: yes"
+                               for key, label in _CONDITIONS.items()))
+        lines.extend(f"witness-values: {_CONDITIONS[key]} {_entry(at)} {_fmt_scalar(lhs)} vs {_fmt_scalar(rhs)}"
+                     for key, (at, lhs, rhs) in failed.items())
     print("\n".join(lines))
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from itertools import chain, combinations_with_replacement, permutations
 from math import gcd, inf, isqrt
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .core import SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul, _lcm_scale
+from .core import IntGrid, SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
 from .polytrope import _first_difference, commutes
 
@@ -139,17 +139,22 @@ def symmetric_generators() -> tuple[SparsePoly, ...]:
     return tuple(f for _, f in _distinct_up_to_sign(enumerate(folded)))
 
 
-def _finite_weight(vals: list) -> list:
-    """vals, a flattened pair; ValueError if one is None (+inf)."""
-    if any(v is None for v in vals):
+def _pair_ints(a: TropMatrix, b: TropMatrix) -> tuple[list[IntGrid], list[int], int]:
+    """The pair scaled to ints by one D (see :func:`tropcomm.core._lcm_scale`):
+    its two grids, its weight times D (row-major vec A, vec B), and D.
+    Sizes must agree; an infinite entry raises ValueError."""
+    _check_sizes(a, b)
+    grids, d = _int_grids(a.rows, b.rows)
+    iw = [v for g in grids for row in g for v in row]
+    if None in iw:
         raise ValueError("weight vectors require finite entries")
-    return vals
+    return grids, iw, d
 
 
 def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
     """Row-major (vec A, vec B); requires finite entries."""
-    _check_sizes(a, b)
-    return tuple(_finite_weight([e.value for m in (a, b) for row in m.rows for e in row]))
+    _, iw, d = _pair_ints(a, b)
+    return tuple(Fraction(v, d) for v in iw)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +215,7 @@ class TpreResult:
 
 def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
     """Prevariety membership: every commutator generator tropically satisfied."""
-    iw, _ = _lcm_scale(weight_of_pair(a, b))
+    _, iw, _ = _pair_ints(a, b)
     return _in_tpre(a.n, iw)
 
 
@@ -495,7 +500,7 @@ def find_monomial_initial_form(
     """
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    iw, d = _lcm_scale(weight_of_pair(a, b))
+    _, iw, d = _pair_ints(a, b)
     base = degree + 1  # no exponent of a degree-d monomial exceeds d
     level = base ** len(iw)  # the columns of value v are [v*level, (v+1)*level)
 
@@ -566,7 +571,7 @@ def certify_not_in_tc3(
     """
     if a.n != 3 or b.n != 3:
         raise SizeMismatchError("certificates are implemented for n = 3")
-    iw, d = _lcm_scale(weight_of_pair(a, b))
+    _, iw, d = _pair_ints(a, b)
     return _certify(a, b, iw, d, deep)
 
 
@@ -605,10 +610,8 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")
     # one scaling serves the min-plus products and the weight of the ties
-    (x, y), d = _int_grids(a.rows, b.rows)
-    ab, ba = _int_mul(x, y), _int_mul(y, x)
-    ts_wit = _first_difference(ab, ba)
-    iw = _finite_weight([v for g in (x, y) for row in g for v in row])
+    (x, y), iw, d = _pair_ints(a, b)
+    ts_wit = _first_difference(_int_mul(x, y), _int_mul(y, x))
     tpre = _in_tpre(a.n, iw)
     cert = None
     if a.n == 2:

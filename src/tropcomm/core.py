@@ -92,7 +92,10 @@ def _power_of_ten(k: int) -> int:
 
 
 def scalar_from_text(text: str) -> "TropScalar":
-    """Parse ``"4.10"``, ``"41/10"`` or ``"inf"`` into an exact scalar."""
+    """Parse ``"4.10"``, ``"41/10"`` or ``"inf"`` into an exact scalar;
+    the text is ASCII (MatrixFormatError otherwise)."""
+    if not text.isascii():
+        raise MatrixFormatError(f"bad entry {text!r}: not ASCII text")
     text = text.strip()
     if text in ("inf", "+inf", "Inf", "INF"):
         return INF

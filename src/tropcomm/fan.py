@@ -413,14 +413,14 @@ class FanConfig:
 
 
 def named_config(name: str) -> FanConfig:
-    """Look up "commuting:n=K" or "symmetric:n=3"."""
+    """Look up "commuting:n=K" (K in ASCII digits) or "symmetric:n=3"."""
     if name == "symmetric:n=3":
         return FanConfig(name=name, gens=tuple(symmetric_generators()), dim=12, names=symmetric_variables())
     if name.startswith("commuting:n="):
-        try:
-            n = int(name.split("=", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad configuration name: {name!r}") from None
+        k = name.split("=", 1)[1]
+        if not (k.isascii() and k.isdigit()):
+            raise ValueError(f"bad configuration name: {name!r}")
+        n = int(k)
         if n < 2:
             raise ValueError("n must be >= 2")
         return FanConfig(name=name, gens=tuple(generators(n)), dim=2 * n * n, names=matrix_variables(n))

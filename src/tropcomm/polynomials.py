@@ -107,10 +107,7 @@ class SparsePoly:
         return 0
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, 0) + c
-        return SparsePoly.from_terms(acc)
+        return SparsePoly.from_terms(self.terms + other.terms)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(tuple((m, -c) for m, c in self.terms))
@@ -122,12 +119,8 @@ class SparsePoly:
         return SparsePoly.from_terms((tuple(a + b for a, b in zip(mm, m)), c) for mm, c in self.terms)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return SparsePoly.from_terms(acc)
+        return SparsePoly.from_terms((tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                                     for m1, c1 in self.terms for m2, c2 in other.terms)
 
     def permute_variables(self, perm: tuple[int, ...]) -> "SparsePoly":
         """Relabel variables: position i goes to position perm[i]."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .commuting import _finite_weight, _in_tpre
-from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _int_grids, _lcm_scale
+from .commuting import _in_tpre, _pair_ints
+from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale
 
 __all__ = [
     "SeriesPoly",
@@ -108,7 +108,7 @@ _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
     (?:(?P<coeff>\d+(?:/0*[1-9]\d*|\.\d+)?)(?:\s*\*?\s*(?=t))?)?
     (?P<t>t(?:\^(?P<open>\()?(?P<exp>-?\d+(?:/0*[1-9]\d*)?)(?(open)\)))?)?""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -118,10 +118,11 @@ def parse_series(text: str) -> SeriesPoly:
     A term is a sign (required after the first term), a magnitude ``p``,
     ``p/q`` or a decimal, and ``t``, ``t^p``, ``t^p/q`` or ``t^(p/q)``; it
     needs a magnitude or t, and a ``*`` may stand only between the two.
-    The empty string is the zero series.  Anything else raises ValueError.
+    Digits and spaces are ASCII.  The empty string is the zero series.
+    Anything else raises ValueError.
     """
-    if not isinstance(text, str):
-        raise ValueError(f"series must be a string, not {text!r}")
+    if not isinstance(text, str) or not text.isascii():
+        raise ValueError(f"series must be an ASCII string, not {text!r}")
     text = text.strip()
     terms, pos = [], 0
     while pos < len(text):
@@ -160,21 +161,9 @@ class SeriesMatrix:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        n = self.n
-        if other.n != n:
-            raise SizeMismatchError(f"size mismatch: {n} vs {other.n}")
-        # one scaling for all entries of both factors
-        polys, _, de, dc = _int_terms([e for m in (self, other) for row in m.rows for e in row])
-        x, y = polys[: n * n], polys[n * n :]
-        return SeriesMatrix(
-            tuple(
-                tuple(
-                    _int_sum_of_products(((x[i * n + k], y[k * n + j]) for k in range(n)), de, dc)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        _check_sizes(self, other)
+        cols = list(zip(*other.rows))
+        return SeriesMatrix(tuple(tuple(_sum_of_products(zip(row, col)) for col in cols) for row in self.rows))
 
     def to_grid(self) -> list[list[str]]:
         return [[format_series(e) for e in row] for row in self.rows]
@@ -204,20 +193,15 @@ def _add_products(out: dict[int, int], pairs: Iterable[tuple[list, list]], sign:
                 out[e] = out.get(e, 0) + c1 * c2
 
 
-def _int_sum_of_products(pairs: Iterable[tuple[list, list]], de: int, dc: int) -> SeriesPoly:
-    """sum of f*g over pairs of :func:`_int_terms` lists, collected in one
-    dict; the products' exponents are multiples of 1/De and their
+def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
+    """sum of f*g over the pairs, collected in one dict of :func:`_int_terms`
+    ints: the products' exponents are multiples of 1/De and their
     coefficients of 1/Dc^2, so Fractions are built only for the final terms."""
+    polys, _, de, dc = _int_terms([p for pair in pairs for p in pair])
     out: dict[int, int] = {}
-    _add_products(out, pairs)
+    _add_products(out, zip(polys[::2], polys[1::2]))
     dc *= dc
     return SeriesPoly(tuple((Fraction(e, de), Fraction(c, dc)) for e, c in sorted(out.items()) if c))
-
-
-def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPoly:
-    """sum of f*g over the pairs."""
-    polys, _, de, dc = _int_terms([p for pair in pairs for p in pair])
-    return _int_sum_of_products(zip(polys[::2], polys[1::2]), de, dc)
 
 
 def val_matrix(x: SeriesMatrix) -> TropMatrix:
@@ -297,8 +281,7 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     """
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
-    (av, bv), d = _int_grids(a.rows, b.rows)
-    targets = _finite_weight([e for g in (av, bv) for row in g for e in row])
+    (av, bv), targets, d = _pair_ints(a, b)
     if not _in_tpre(2, targets).ok:
         raise LiftPreconditionError("pair fails the 2x2 variety membership test")
 

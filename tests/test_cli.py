@@ -10,7 +10,7 @@ from tropcomm import symmetric_generators
 from tropcomm.cli import main
 
 from helpers import (
-    EX5_A, EX5_B, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F,
+    M, EX5_A, EX5_B, EX7_A, P7A_A, P7A_B, P7B_C, P7B_D, P7C_E, P7C_F,
     S31_A, S31_B, TC2_A, TC2_B, LIFT_X, LIFT_Y,
 )
 from tropcomm.core import matrix_to_json, pair_to_json
@@ -63,6 +63,61 @@ def test_check_2x2(pair_file, capsys):
     assert "TC2: in" in out
     code, out, _ = run(capsys, "check", pair_file("s31", S31_A, S31_B))
     assert "TS: yes, Tpre: no (1,1), TC2: out" in out
+
+
+# 4x4 polytropes that fail all four conditions, each at its own entry
+P4_A = M([[0, 4, 2, 3], [3, 0, 5, 2], [2, 4, 0, 3], [1, 1, 3, 0]])
+P4_B = M([[0, 3, 1, 2], [5, 0, 4, 1], [1, 2, 0, 3], [5, 1, 4, 0]])
+
+CHECK_OUTPUTS = {
+    "a": (P7A_A, P7A_B, """n: 3
+TS: yes, Tpre: yes, TC3: unknown (searched: witness families and the degree-4 slice)
+polytropes: no
+"""),
+    "b": (P7B_C, P7B_D, """n: 3
+TS: yes, Tpre: no (1,1),(2,2), TC3: certified-out (x12*y21)
+polytropes: yes
+commutes: yes, star-condition: yes, square-condition: yes, product-condition: yes
+"""),
+    "c": (P7C_E, P7C_F, """n: 3
+TS: no (3,3), Tpre: yes, TC3: unknown (searched: witness families and the degree-4 slice)
+polytropes: no
+"""),
+    "ex5": (EX5_A, EX5_B, """n: 4
+polytropes: yes
+commutes: yes, star-condition: no (1,3), square-condition: yes, product-condition: no (1,3)
+witness-values: star-condition (1,3) 3.43 vs 2.31
+witness-values: product-condition (1,3) 2.31 vs 3.43
+"""),
+    "tc2": (TC2_A, TC2_B, """n: 2
+TS: yes, Tpre: yes, TC2: in
+polytropes: no
+"""),
+    "s31": (S31_A, S31_B, """n: 2
+TS: yes, Tpre: no (1,1), TC2: out
+polytropes: yes
+commutes: yes, star-condition: yes, square-condition: yes, product-condition: yes
+"""),
+    "4x4-polytropes": (P4_A, P4_B, """n: 4
+polytropes: yes
+commutes: no (2,1), star-condition: no (2,1), square-condition: no (2,3), product-condition: no (4,3)
+witness-values: commutes (2,1) 3 vs 2
+witness-values: star-condition (2,1) 3 vs 2
+witness-values: square-condition (2,3) 4 vs 3
+witness-values: product-condition (4,3) 2 vs 3
+"""),
+    # EX7_A is a polytrope, P7A_B (diagonal 12, 2, 6) is not
+    "one-polytrope": (EX7_A, P7A_B, """n: 3
+TS: no (1,1), Tpre: no (1,1),(1,3),(2,2),(3,3), TC3: certified-out (x21*y12)
+polytropes: no
+"""),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_OUTPUTS)
+def test_check_prints_exactly(pair_file, capsys, name):
+    a, b, expected = CHECK_OUTPUTS[name]
+    assert run(capsys, "check", pair_file(name, a, b)) == (0, expected, "")
 
 
 def test_check_is_deterministic(pair_file, capsys):
@@ -326,6 +381,7 @@ def test_gens_symmetric_needs_n_3(capsys, n):
 
 @pytest.mark.parametrize("argv", [
     ("fan", "commuting:n=1"), ("fan", "commuting:n=x"), ("fan", "symmetric:n=2"), ("gens", "--n", "1"),
+    ("fan", "commuting:n=\u0662"),  # an Arabic-Indic two
 ])
 def test_an_unsupported_configuration_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -441,12 +497,14 @@ _ZEROS2 = [["0", "0"], ["0", "0"]]
     ("star", {"n": True, "entries": [["0"]]}),
     ("check", {"n": True, "A": [["0"]], "B": [["0"]]}),
     ("check", {"n": 2, "A": [[True, 0], [0, 0]], "B": [[0, 0], [0, 0]]}),
+    ("lift-verify", {"n": 2, "X": [["\u0663", "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
+    ("check", {"n": 2, "A": [["\u0663", "0"], ["0", "0"]], "B": [["0", "0"], ["0", "0"]]}),
 ], ids=[
     "series-zero-denominator", "series-trailing-sign", "series-dangling-star",
     "series-doubled-sign", "series-unbalanced-parenthesis", "series-not-a-string", "series-not-a-grid",
     "term-not-an-object", "generators-not-a-list", "fractional-exponent",
     "variables-not-a-list", "dimension-true", "star-n-true", "check-n-true",
-    "entry-true",
+    "entry-true", "series-non-ascii-digit", "entry-non-ascii-digit",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "in.json"

@@ -26,6 +26,8 @@ from tropcomm import (
 )
 from tropcomm import commuting
 from tropcomm.commuting import TpreResult, group_elements, labeled_generators, witness_family
+from tropcomm.core import SizeMismatchError
+from tropcomm.series import lift_2x2
 from tropcomm.polynomials import (
     SparsePoly,
     matrix_variables,
@@ -589,6 +591,35 @@ def test_shared_scaling_matches_fraction_oracle_2x2_and_inf():
             with pytest.raises(ValueError) as raised:
                 classify_pair(M(grids[0]), M(grids[1]), deep=False)
             assert raised.type is ValueError and "finite" in str(raised.value)
+
+
+@pytest.mark.parametrize("entry, sizes", [
+    (weight_of_pair, (2, 3)),
+    (in_tpre, (2, 3)),
+    (certify_not_in_tc3, (3,)),
+    (commuting.find_monomial_initial_form, (3,)),
+    (classify_pair, (2, 3)),
+    (lift_2x2, (2,)),
+], ids=["weight_of_pair", "in_tpre", "certify_not_in_tc3", "find_monomial_initial_form", "classify_pair",
+        "lift_2x2"])
+def test_pair_entry_points_share_one_error_contract(entry, sizes):
+    """Every entry point that reads a pair's weight raises SizeMismatchError
+    on mixed sizes (a 4x4/3x3 pair included), and ValueError with one
+    message on a +inf entry, wherever it stands."""
+    def grid(m, inf_at=None):
+        return M([["inf" if (i, j) == inf_at else str(i * m + j) for j in range(m)] for i in range(m)])
+
+    for n in sizes:
+        for m in (n - 1, n + 1):
+            for a, b in ((grid(n), grid(m)), (grid(m), grid(n))):
+                with pytest.raises(SizeMismatchError):
+                    entry(a, b)
+        for k in range(2 * n * n):
+            at = divmod(k % (n * n), n)
+            a, b = (grid(n, at), grid(n)) if k < n * n else (grid(n), grid(n, at))
+            with pytest.raises(ValueError) as raised:
+                entry(a, b)
+            assert (raised.type, str(raised.value)) == (ValueError, "weight vectors require finite entries")
 
 
 _CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family",

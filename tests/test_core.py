@@ -42,6 +42,10 @@ def test_scalar_parsing_is_exact():
         scalar_from_text("4.1.0")
     with pytest.raises(MatrixFormatError):
         scalar_from_text("1/0")
+    # Fraction reads any Unicode digit or space; an entry is ASCII
+    for text in ("\u0663", "4.\u0661", "\u20031"):
+        with pytest.raises(MatrixFormatError):
+            scalar_from_text(text)
 
 
 def test_scalar_ordering_and_addition():

@@ -40,6 +40,13 @@ from tropcomm.simplex import add_pivot, eliminate
 from helpers import fraction_simplex_max_t, raw_strict_feasibility
 
 
+@pytest.mark.parametrize("name", ["commuting:n=\u0662", "commuting:n= 2", "commuting:n=0_2", "commuting:n=-2"])
+def test_named_config_reads_ascii_digits(name):
+    """int() reads Unicode digits, spaces and underscores; K is ASCII digits."""
+    with pytest.raises(ValueError):
+        named_config(name)
+
+
 def test_lineality_dimensions():
     cfg = named_config("commuting:n=2")
     lin = lineality_dim(list(cfg.gens), cfg.dim)
@@ -195,13 +202,15 @@ def test_witness_values_are_shared_and_cells_are_small():
 
     A full collection empties the interpreter's free lists, and refilling
     them inside the traced call would count about 1.3 MB of cached tuples
-    that the warm-up call had left there; the walk makes no cyclic garbage,
-    so the collector is off for the call."""
+    that the warm-up call had left there.  So the collector runs once and is
+    then off from before the warm-up to the end of the call, whatever
+    earlier code left behind; the walk makes no cyclic garbage."""
     g12, g13, g23 = symmetric_generators()
-    enumerate_cells([g23, g13], 12, jobs=1)  # warm up
+    gc.collect()
     gc.disable()
-    tracemalloc.start()
     try:
+        enumerate_cells([g23, g13], 12, jobs=1)  # warm up
+        tracemalloc.start()
         cells = enumerate_cells([g23, g13], 12, jobs=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

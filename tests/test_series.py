@@ -53,10 +53,12 @@ def test_parse_series_accepted_forms():
     assert S("") == S("0") == SeriesPoly.zero()
 
 
-@pytest.mark.parametrize("text", ["9+", "t + ", "2*", "*t", "1 + -45", "t^(1/2", "t^1/2)"])
+@pytest.mark.parametrize("text", ["9+", "t + ", "2*", "*t", "1 + -45", "t^(1/2", "t^1/2)",
+                                  "\u0663", "t^\u0662", "1\u2003+ t", "\u20031"])
 def test_parse_series_refuses_malformed_text(text):
     """A trailing sign, a * not between a magnitude and t, a doubled sign
-    and an unbalanced parenthesis are errors, not a shorter series."""
+    and an unbalanced parenthesis are errors, not a shorter series.  So are
+    the Unicode digits and spaces that Python reads as ASCII ones."""
     with pytest.raises(ValueError):
         parse_series(text)
 
