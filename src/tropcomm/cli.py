@@ -16,10 +16,10 @@ import sys
 
 from . import fan as fan_mod
 from .commuting import (
+    _labeled_symmetric_generators,
     certify_not_in_tc3,
     classify_pair,
     labeled_generators,
-    symmetric_generators,
 )
 from .core import (
     MatrixFormatError,
@@ -275,16 +275,11 @@ def cmd_gens(args: argparse.Namespace) -> int:
     if args.symmetric:
         if args.n not in (None, 3):
             return _fail(EXIT_UNSUPPORTED, f"--symmetric gives the 3x3 generators, not n={args.n}")
-        names = symmetric_variables()
-        labels = ((1, 2), (1, 3), (2, 3))
-        gens = symmetric_generators()
+        names, pairs = symmetric_variables(), _labeled_symmetric_generators()
     else:
         n = 2 if args.n is None else args.n
-        names = matrix_variables(n)
-        pairs = labeled_generators(n)
-        labels = tuple(lab for lab, _ in pairs)
-        gens = [g for _, g in pairs]
-    for (k, l), g in zip(labels, gens):
+        names, pairs = matrix_variables(n), labeled_generators(n)
+    for (k, l), g in pairs:
         print(f"g{k}{l} = {g.render(names)}")
     return EXIT_OK
 

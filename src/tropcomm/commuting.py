@@ -124,8 +124,9 @@ def _generator_supports(n: int) -> tuple[tuple[tuple[int, int], Support], ...]:
 
 
 @cache
-def symmetric_generators() -> tuple[SparsePoly, ...]:
-    """The three 6-term generators of the symmetric 3x3 commuting ideal.
+def _labeled_symmetric_generators() -> tuple[tuple[tuple[int, int], SparsePoly], ...]:
+    """The three 6-term generators of the symmetric 3x3 commuting ideal,
+    labeled by their commutator entries.
 
     The entries of XY - YX for n=3 with x_ji read as x_ij (and y alike),
     written in the 12 variables x_ij, y_ij (i <= j).  The diagonal entries
@@ -134,9 +135,16 @@ def symmetric_generators() -> tuple[SparsePoly, ...]:
     """
     sym = symmetric_variables()
     upper = [min(nm, nm[0] + nm[2] + nm[1]) for nm in matrix_variables(3)]  # x_ji read as x_ij
-    folded = [SparsePoly.from_terms((monomial(sym, *(upper[i] for i in _exponents(m))), c) for m, c in g.terms)
-              for _, g in labeled_generators(3)]
-    return tuple(f for _, f in _distinct_up_to_sign(enumerate(folded)))
+    return _distinct_up_to_sign(
+        (label, SparsePoly.from_terms((monomial(sym, *(upper[i] for i in _exponents(m))), c) for m, c in g.terms))
+        for label, g in labeled_generators(3)
+    )
+
+
+@cache
+def symmetric_generators() -> tuple[SparsePoly, ...]:
+    """The generators of :func:`_labeled_symmetric_generators`, g12, g13, g23."""
+    return tuple(g for _, g in _labeled_symmetric_generators())
 
 
 def _pair_ints(a: TropMatrix, b: TropMatrix) -> tuple[list[IntGrid], list[int], int]:

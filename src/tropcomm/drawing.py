@@ -57,47 +57,35 @@ def tropical_segment(x: TropVector, y: TropVector) -> list[Point]:
     return pts
 
 
-def _clip(poly: list[Point], a: Fraction, b: Fraction, c: Fraction) -> list[Point]:
-    """Keep the side a*u + b*v <= c (Sutherland-Hodgman, exact)."""
-    out: list[Point] = []
-    m = len(poly)
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
-        if fp <= 0:
-            out.append(p)
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    dedup: list[Point] = []
-    for p in out:
-        # neither a repeat nor the closing duplicate of the first point
-        if not dedup or p not in (dedup[0], dedup[-1]):
-            dedup.append(p)
-    return dedup
+def region_vertices(m: TropMatrix) -> list[Point]:
+    """Vertices of {x : x_i - x_j <= m[i][j]} in the chart, counterclockwise,
+    for any finite 3x3 matrix m.
 
-
-def region_vertices(star: TropMatrix) -> list[Point]:
-    """Vertices of {x : x_i - x_j <= M[i][j]} in the chart, for a 3x3 star M.
-
-    In chart coordinates the six constraints are a box intersected with two
-    diagonal half-planes; the result has up to six vertices (counterclockwise).
+    The set is the one of s = kleene_star(m), which raises
+    :class:`~tropcomm.core.NegativeCycleError` exactly when it is empty.
+    All six constraints of s are tight, and the triangle inequality of s
+    puts each of the hexagon's corners
+    (-s12, -s13), (s23 - s13, -s13), (s21, s21 - s23),
+    (s21, s31), (s31 - s32, s31), (-s12, s32 - s12)
+    inside the other constraints; a corner equal to the previous one or to
+    the first one is dropped, so the list has one to six points.
     """
-    if star.n != 3 or not star.all_finite():
+    if m.n != 3 or not m.all_finite():
         raise ValueError("need a finite 3x3 matrix")
-    m = [[e.value for e in row] for row in star.rows]
-    lo_u, hi_u = -m[0][1], m[1][0]
-    lo_v, hi_v = -m[0][2], m[2][0]
-    box = [(lo_u, lo_v), (hi_u, lo_v), (hi_u, hi_v), (lo_u, hi_v)]
-    poly = _clip(box, Fraction(1), Fraction(-1), m[1][2])   # u - v <= M23
-    poly = _clip(poly, Fraction(-1), Fraction(1), m[2][1])  # v - u <= M32
-    return poly
+    (_, s12, s13), (s21, _, s23), (s31, s32, _) = (
+        [e.value for e in row] for row in kleene_star(m).rows
+    )
+    out: list[Point] = []
+    for p in ((-s12, -s13), (s23 - s13, -s13), (s21, s21 - s23),
+              (s21, s31), (s31 - s32, s31), (-s12, s32 - s12)):
+        if not out or p not in (out[0], out[-1]):
+            out.append(p)
+    return out
 
 
 def intersection_region_vertices(a: TropMatrix, b: TropMatrix) -> list[Point]:
-    """Vertices of im(a*) cap im(b*) = im((a+b)*), for premetrics a, b."""
-    return region_vertices(kleene_star(trop_add(a, b)))
+    """Vertices of im(a*) cap im(b*) = im((a+b)*), for finite 3x3 a, b."""
+    return region_vertices(trop_add(a, b))
 
 
 def _fmt(q: Fraction) -> str:
@@ -131,8 +119,6 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
 
     layers = []
     all_pts: list[Point] = []
-    n_points = 0
-    region_counts = []
     for idx, m in enumerate(matrices):
         cols = [m.column(j) for j in range(3)]
         pts = [tp2_chart(c) for c in cols]
@@ -141,13 +127,10 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
             for i in range(3)
             for j in range(i + 1, 3)
         ]
-        region = region_vertices(kleene_star(m))
+        region = region_vertices(m)
         layers.append((idx, pts, segs, region))
-        all_pts.extend(pts)
-        all_pts.extend(p for s in segs for p in s)
+        all_pts.extend(p for s in segs for p in s)  # the column points too
         all_pts.extend(region)
-        n_points += len(pts)
-        region_counts.append(len(region))
 
     inter: tuple[Point, ...] = ()
     if len(matrices) == 2:
@@ -182,12 +165,11 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
     for idx, pts, segs, region in layers:
         color = _PALETTE[idx % len(_PALETTE)]
         out.append(f'  <g class="polytrope-{idx}">')
-        if region:
-            pts_attr = " ".join(xy(p) for p in region)
-            out.append(
-                f'    <polygon class="region" points="{pts_attr}" '
-                f'fill="{color}" fill-opacity="0.15" stroke="none"/>'
-            )
+        pts_attr = " ".join(xy(p) for p in region)
+        out.append(
+            f'    <polygon class="region" points="{pts_attr}" '
+            f'fill="{color}" fill-opacity="0.15" stroke="none"/>'
+        )
         for seg in segs:
             pts_attr = " ".join(xy(p) for p in seg)
             out.append(
@@ -203,7 +185,7 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
     out.append("</svg>")
     return SvgDocument(
         text="\n".join(out) + "\n",
-        point_count=n_points,
-        region_vertex_counts=tuple(region_counts),
+        point_count=3 * len(matrices),
+        region_vertex_counts=tuple(len(region) for *_, region in layers),
         intersection_vertices=inter,
     )

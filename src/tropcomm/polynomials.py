@@ -9,7 +9,7 @@ polynomials are plain data, so they hash, compare, and pickle cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "Monomial",
@@ -68,6 +68,19 @@ def permute_monomial(m: Monomial, perm: tuple[int, ...]) -> Monomial:
         if k:
             e[perm[pos]] += k
     return tuple(e)
+
+
+def _signed_sum(terms: Iterable[tuple[Any, str]]) -> str:
+    """Display of a sum of (coefficient, unit) terms in the given order:
+    ``c*unit``, the unit alone for c = +-1, and c alone for the unit "";
+    a leading minus, then " + " and " - " between terms; "0" for none."""
+    chunks: list[str] = []
+    for c, unit in terms:
+        mag = abs(c)
+        body = f"{mag}*{unit}" if unit and mag != 1 else unit or str(mag)
+        sign = "-" if c < 0 else "+" if chunks else ""
+        chunks.append(f"{sign} {body}" if chunks else f"{sign}{body}")
+    return " ".join(chunks) or "0"
 
 
 @dataclass(frozen=True)
@@ -132,19 +145,4 @@ class SparsePoly:
 
     def render(self, names: tuple[str, ...]) -> str:
         """Deterministic display: x-major terms first (descending exponents)."""
-        if not self.terms:
-            return "0"
-        ordered = sorted(self.terms, key=lambda t: t[0], reverse=True)
-        chunks = []
-        for i, (m, c) in enumerate(ordered):
-            sign = "-" if c < 0 else ("+" if i else "")
-            mag = abs(c)
-            body = monomial_str(m, names)
-            coeff = "" if mag == 1 and body != "1" else f"{mag}*"
-            if body == "1":
-                coeff, body = str(mag), ""
-                chunk = coeff
-            else:
-                chunk = f"{coeff}{body}"
-            chunks.append(f"{sign} {chunk}".strip() if i else f"{sign}{chunk}")
-        return " ".join(chunks)
+        return _signed_sum((c, monomial_str(m, names) if any(m) else "") for m, c in reversed(self.terms))

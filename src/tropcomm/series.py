@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .commuting import _in_tpre, _pair_ints
 from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale
+from .polynomials import _signed_sum
 
 __all__ = [
     "SeriesPoly",
@@ -89,19 +90,7 @@ def _fmt_exp(e: Fraction) -> str:
 
 
 def format_series(s: SeriesPoly) -> str:
-    if not s.terms:
-        return "0"
-    chunks = []
-    for i, (e, c) in enumerate(s.terms):
-        sign = "-" if c < 0 else ("+" if i else "")
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            tpart = "t" if e == 1 else f"t^{_fmt_exp(e)}"
-            body = tpart if mag == 1 else f"{mag}*{tpart}"
-        chunks.append(f"{sign} {body}".strip() if i else f"{sign}{body}")
-    return " ".join(chunks)
+    return _signed_sum((c, "" if e == 0 else "t" if e == 1 else f"t^{_fmt_exp(e)}") for e, c in s.terms)
 
 
 _TERM_RE = re.compile(

@@ -355,16 +355,25 @@ def test_star_command(tmp_path, capsys):
 
 def test_gens_command(capsys):
     code, out, _ = run(capsys, "gens", "--n", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "g11 = x12*y21 - x21*y12"
-    assert len(lines) == 3
+    assert (code, out) == (0, """g11 = x12*y21 - x21*y12
+g12 = x11*y12 - x12*y11 + x12*y22 - x22*y12
+g21 = -x11*y21 + x21*y11 - x21*y22 + x22*y21
+""")
 
     code, out, _ = run(capsys, "gens", "--symmetric")
-    assert code == 0
-    assert out.strip().splitlines()[0] == (
-        "g12 = x11*y12 - x12*y11 + x12*y22 + x13*y23 - x22*y12 - x23*y13"
-    )
+    assert (code, out) == (0, """g12 = x11*y12 - x12*y11 + x12*y22 + x13*y23 - x22*y12 - x23*y13
+g13 = x11*y13 + x12*y23 - x13*y11 + x13*y33 - x23*y12 - x33*y13
+g23 = x12*y13 - x13*y12 + x22*y23 - x23*y22 + x23*y33 - x33*y23
+""")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "3"), "5ffef457cb7875684f3db5cb4398ea135ba899b79e5735a825d37dda45bb1797"),
+    (("--n", "4"), "6151e449fcc6f3b063b7caca059907a7fb964a871cb433498573c40b13dc9350"),
+], ids=["n3", "n4"])
+def test_gens_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "gens", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", ["2", "5"])
@@ -499,12 +508,13 @@ _ZEROS2 = [["0", "0"], ["0", "0"]]
     ("check", {"n": 2, "A": [[True, 0], [0, 0]], "B": [[0, 0], [0, 0]]}),
     ("lift-verify", {"n": 2, "X": [["\u0663", "0"], ["0", "1"]], "Y": LIFT_Y, "A": _ZEROS2, "B": _ZEROS2}),
     ("check", {"n": 2, "A": [["\u0663", "0"], ["0", "0"]], "B": [["0", "0"], ["0", "0"]]}),
+    ("check", {"n": 2, "A": [["1e1.5", "0"], ["0", "0"]], "B": [["0", "0"], ["0", "0"]]}),
 ], ids=[
     "series-zero-denominator", "series-trailing-sign", "series-dangling-star",
     "series-doubled-sign", "series-unbalanced-parenthesis", "series-not-a-string", "series-not-a-grid",
     "term-not-an-object", "generators-not-a-list", "fractional-exponent",
     "variables-not-a-list", "dimension-true", "star-n-true", "check-n-true",
-    "entry-true", "series-non-ascii-digit", "entry-non-ascii-digit",
+    "entry-true", "series-non-ascii-digit", "entry-non-ascii-digit", "entry-fractional-exponent",
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "in.json"

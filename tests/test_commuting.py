@@ -88,8 +88,10 @@ def test_generators_n3_shape():
 
 
 def test_symmetric_generators_match_display():
+    labeled = commuting._labeled_symmetric_generators()
     gens = symmetric_generators()
-    assert len(gens) == 3
+    assert [label for label, _ in labeled] == [(1, 2), (1, 3), (2, 3)]
+    assert tuple(g for _, g in labeled) == gens
     names = symmetric_variables()
     g12 = gens[0]
     expected = SparsePoly.from_terms({
@@ -109,7 +111,7 @@ def test_symmetric_generators_match_display():
     def var(p, i, j):
         return f"{p}{min(i, j)}{max(i, j)}"
 
-    for g, (k, l) in zip(gens, ((1, 2), (1, 3), (2, 3))):
+    for (k, l), g in labeled:
         assert g == SparsePoly.from_terms(
             [(monomial(names, var("x", k, s), var("y", s, l)), 1) for s in range(1, 4)]
             + [(monomial(names, var("y", k, s), var("x", s, l)), -1) for s in range(1, 4)])
@@ -131,6 +133,8 @@ def test_trop_satisfied_reports():
     for g in generators(2):
         ev = evaluate_tropically(g, w0)
         assert ev.satisfied and len(ev.argmin) == len(g)
+    with pytest.raises(ValueError, match="empty polynomial"):
+        evaluate_tropically(SparsePoly.zero(), w0)
 
 
 def test_in_ts_on_separating_pairs():
@@ -622,8 +626,8 @@ def test_pair_entry_points_share_one_error_contract(entry, sizes):
             assert (raised.type, str(raised.value)) == (ValueError, "weight vectors require finite entries")
 
 
-_CACHED = ("labeled_generators", "generators", "symmetric_generators", "witness_family",
-           "_generator_supports", "_family_supports", "_slice_data")
+_CACHED = ("labeled_generators", "generators", "_labeled_symmetric_generators", "symmetric_generators",
+           "witness_family", "_generator_supports", "_family_supports", "_slice_data")
 
 
 def test_constant_data_is_built_once(monkeypatch):
@@ -722,3 +726,9 @@ def test_certify_ties_on_homogeneity_points():
     a = M([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     b = M([[2, 2, 2], [2, 2, 2], [2, 2, 2]])
     assert certify_not_in_tc3(a, b, deep=False) is None
+
+
+def test_classify_pair_refuses_n_4():
+    with pytest.raises(ValueError) as raised:
+        classify_pair(M([[0] * 4] * 4), M([[0] * 4] * 4))
+    assert raised.type is ValueError and "n in {2, 3}" in str(raised.value)

@@ -1,5 +1,6 @@
 """Chart geometry and SVG rendering of 3x3 polytrope images."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from tropcomm.drawing import (
     tp2_chart,
     tropical_segment,
 )
-from tropcomm.polytrope import star_image_contains
+from tropcomm.core import NegativeCycleError
+from tropcomm.polytrope import is_premetric, star_image_contains
 
 from helpers import EX7_A, EX7_B
 
@@ -54,6 +56,50 @@ def test_region_vertices_of_generic_star():
     # the region is exactly the fixed set: its vertices are members
     for (u, v) in poly:
         assert star_image_contains(m, TropVector.of([0, u, v]))
+
+
+def test_region_of_an_empty_image_raises():
+    # x1 - x3 <= -3 and x3 - x1 <= 0 leave no point
+    with pytest.raises(NegativeCycleError):
+        region_vertices(TropMatrix.of([[0, -1, -3], [0, 0, 3], [0, 0, 0]]))
+
+
+def test_region_of_a_premetric_is_the_region_of_its_star():
+    rng = random.Random(23)
+    not_stars = 0
+    for _ in range(300):
+        m = TropMatrix.of([[0 if i == j else Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                            for j in range(3)] for i in range(3)])
+        assert is_premetric(m)
+        star = kleene_star(m)
+        not_stars += star != m
+        assert region_vertices(m) == region_vertices(star)
+    assert not_stars > 100
+
+
+def _cross(o, p, q):
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def test_region_vertices_of_stars_are_a_convex_counterclockwise_polygon():
+    """The closed form against the definition: distinct points of the
+    image, each on two of the six constraint lines, and no clockwise turn."""
+    rng = random.Random(31)
+    sizes = set()
+    for _ in range(400):
+        r = rng.choice([2, 6, 30])
+        star = kleene_star(TropMatrix.of([[0 if i == j else rng.randint(0, r) for j in range(3)]
+                                          for i in range(3)]))
+        s = [[e.value for e in row] for row in star.rows]
+        poly = region_vertices(star)
+        sizes.add(len(poly))
+        assert len(set(poly)) == len(poly)
+        for k, (u, v) in enumerate(poly):
+            x = (0, u, v)
+            slack = [s[i][j] - (x[i] - x[j]) for i in range(3) for j in range(3) if i != j]
+            assert min(slack) >= 0 and slack.count(0) >= 2
+            assert _cross(poly[(k - 2) % len(poly)], poly[k - 1], (u, v)) >= 0
+    assert sizes == {1, 2, 3, 4, 5, 6}
 
 
 def test_intersection_region_is_a_pentagon_for_the_numeric_pair():
@@ -123,3 +169,19 @@ def test_segments_stay_in_the_image():
             for j in range(i + 1, 3):
                 for (u, v) in tropical_segment(cols[i], cols[j]):
                     assert star_image_contains(a, TropVector.of([0, u, v]))
+
+
+_ZERO = TropMatrix.of([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+_NOT_A_STAR = TropMatrix.of([[0, 5, 1], [1, 0, 7], [2, 1, 0]])
+
+
+@pytest.mark.parametrize("matrices, digest, counts", [
+    ([EX7_A], "2e60a656c312775e05d23a64db94ae59510961b4a4e0965c829148c8fe164904", (5,)),
+    ([EX7_A, EX7_B], "ab73f4f5f10f378729427852f03146059b5c7a4497c89152416fdafd05bbc1df", (5, 3)),
+    ([_ZERO], "26332b5d1dbe503374cd39831b8032d3b17f5159f906be3ccfba2270b4df2137", (1,)),
+    ([_NOT_A_STAR], "723caf3ddaee0d0dd599e78dc64443ab471b5c0873356c902818aec366ab18d5", (3,)),
+], ids=["ex7a", "ex7a-ex7b", "zero-one-point", "premetric-not-a-star"])
+def test_svg_is_pinned(matrices, digest, counts):
+    doc = render_polytrope_svg(matrices)
+    assert hashlib.sha256(doc.text.encode()).hexdigest() == digest
+    assert doc.point_count == 3 * len(matrices) and doc.region_vertex_counts == counts

@@ -182,6 +182,11 @@ def test_empty_generators():
     assert lineality_dim([], 10 ** 6) == 10 ** 6
 
 
+def test_f_vector_refuses_a_cell_below_the_lineality():
+    with pytest.raises(ValueError, match="below lineality"):
+        f_vector([Cell(pattern=(), dim=4, witness=()), Cell(pattern=(), dim=2, witness=())], 3)
+
+
 def test_empty_generators_share_one_zero():
     # the witness of the one cell repeats one Fraction(0): its tuple of 10^6
     # pointers is 8 MB, where 10^6 separate zeros took 56.7 MB
@@ -503,6 +508,7 @@ def test_maximal_cell_orbits_of_the_2x2_prevariety():
         (2, (((0, 1), (0, 2), (0, 2)), ((0, 1), (1, 3), (1, 3)))),
         (2, (((0, 1), (0, 3), (0, 3)), ((0, 1), (1, 2), (1, 2)))),
     ]
+    assert maximal_cell_orbits([], list(cfg.gens), cfg.names) == []
 
 
 @pytest.mark.parametrize("missing", [p for orbit in SYMMETRIC_3_ORBITS[1:] for p in orbit])

@@ -46,6 +46,11 @@ def test_parse_and_format_round_trip():
         parse_series("t^^2")
 
 
+@pytest.mark.parametrize("text", ["0", "5", "t", "-t", "3/4*t^3", "t^(1/2)", "t^-1", "2 - t^(1/2) + 3/4*t^3"])
+def test_series_print_as_they_are_written(text):
+    assert str(S(text)) == format_series(S(text)) == text
+
+
 def test_parse_series_accepted_forms():
     assert S("2 t") == S("2t") == S("2 * t") == S("2*t")
     assert S("t^1/2") == S("t^(1/2)") and S("t^(3)") == S("t^3")
