@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: check, fan, sample, star, gens, certify, lift, lift-verify, svg.
-Exit codes: 0 ok, 1 negative cycle (star) or lift not verified
+Exit codes: 0 ok, 1 negative cycle (star, svg) or lift not verified
 (lift-verify), 2 parse error or an output file that cannot be written,
 3 unsupported input, 4 budget exceeded, 5 sampling exhausted.  All output
 is deterministic given inputs and flags.
@@ -24,7 +24,6 @@ from .commuting import (
 from .core import (
     MatrixFormatError,
     NegativeCycleError,
-    SizeMismatchError,
     TropMatrix,
     TropScalar,
     format_rational,
@@ -38,12 +37,7 @@ from .core import (
 from .drawing import render_polytrope_svg
 from .polynomials import SparsePoly, matrix_variables, monomial_str, symmetric_variables
 from .polytrope import NotPolytropeError, classify_polytrope_pair
-from .series import (
-    LiftPreconditionError,
-    SeriesMatrix,
-    lift_2x2,
-    verify_lift,
-)
+from .series import SeriesMatrix, lift_2x2, verify_lift
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,12 +68,6 @@ def _fmt_scalar(s: TropScalar) -> str:
     return "inf" if not s.is_finite else format_rational(s.value)  # type: ignore[arg-type]
 
 
-def _yesno(flag: bool, witness=None) -> str:
-    if flag:
-        return "yes"
-    return f"no {witness}" if witness else "no"
-
-
 def _searched(deep: bool) -> str:
     """What a 3x3 certificate search covered, for its "unknown" verdict."""
     return "witness families and the degree-4 slice" if deep else "witness families"
@@ -100,19 +88,16 @@ _CONDITIONS = {"commutes": "commutes", "star": "star-condition", "square": "squa
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    obj = load_json(args.pair)
-    a, b = pair_from_json(obj)
+    a, b = pair_from_json(load_json(args.pair))
     n = a.n
     if n not in (2, 3, 4):
         return _fail(EXIT_UNSUPPORTED, f"n={n} is not supported (use 2, 3 or 4)")
     lines = [f"n: {n}"]
     if n in (2, 3):
         cls = classify_pair(a, b)
-        ts = _yesno(cls.ts, _entry(cls.ts_witness) if cls.ts_witness else None)
-        tpre = _yesno(
-            cls.tpre.ok,
-            ",".join(_entry(e) for e in cls.tpre.failures) if cls.tpre.failures else None,
-        )
+        # a "no" has witnesses: the first entry where AB and BA differ, the failing generators
+        ts = "yes" if cls.ts else f"no {_entry(cls.ts_witness)}"
+        tpre = "yes" if cls.tpre.ok else "no " + ",".join(map(_entry, cls.tpre.failures))
         tc = f"TC2: {cls.tc_status}" if n == 2 else _tc3(cls, True)
         lines.append(f"TS: {ts}, Tpre: {tpre}, {tc}")
     try:
@@ -129,7 +114,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _generators_from_file(path: str) -> tuple[list[SparsePoly], int]:
+def _generators_from_file(path: str) -> fan_mod.FanConfig:
     obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("generators"), list):
         raise MatrixFormatError('expected {"dimension": D, "generators": [...]}')
@@ -152,31 +137,25 @@ def _generators_from_file(path: str) -> tuple[list[SparsePoly], int]:
         names = obj["variables"]
         if not isinstance(names, list) or len(names) != dim or not all(isinstance(x, str) for x in names):
             raise MatrixFormatError("variables must be a list of dimension names")
-    return gens, dim
+    # the names are only checked: they carry no group for --orbits
+    return fan_mod.FanConfig(name=path, gens=tuple(gens), dim=dim, names=())
 
 
 def cmd_fan(args: argparse.Namespace) -> int:
-    if args.config.endswith(".json"):
-        # a file's variable names are only checked: --orbits needs a named
-        # configuration, whose names carry the group
-        gens, dim = _generators_from_file(args.config)
-        label, names = args.config, ()
-    else:
-        cfg = fan_mod.named_config(args.config)
-        gens, dim, names = list(cfg.gens), cfg.dim, cfg.names
-        label = cfg.name
+    load = _generators_from_file if args.config.endswith(".json") else fan_mod.named_config
+    cfg = load(args.config)
     if args.budget < 1:
         return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
     if args.jobs < 1:
         return _fail(EXIT_PARSE, f"--jobs must be >= 1, not {args.jobs}")
-    if args.orbits and not names:
+    if args.orbits and not cfg.names:
         return _fail(EXIT_UNSUPPORTED, "--orbits needs a named configuration, not a generator file")
-    lin = fan_mod.lineality_dim(gens, dim)
+    lin = fan_mod.lineality_dim(cfg.gens, cfg.dim)
     try:
-        cells = fan_mod.enumerate_cells(gens, dim, budget=args.budget, jobs=args.jobs)
+        cells = fan_mod.enumerate_cells(cfg.gens, cfg.dim, budget=args.budget, jobs=args.jobs)
     except fan_mod.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if label == "commuting:n=3":
+        if cfg.name == "commuting:n=3":
             print(
                 "reference: full 3x3 prevariety f-vector "
                 f"{list(fan_mod.KNOWN_FVECTOR_PREVARIETY_3_FULL)} and variety f-vector "
@@ -187,9 +166,9 @@ def cmd_fan(args: argparse.Namespace) -> int:
         return EXIT_BUDGET
     fv = fan_mod.f_vector(cells, lin)
     report: dict = {
-        "configuration": label,
-        "ambient_dimension": dim,
-        "generator_count": len(gens),
+        "configuration": cfg.name,
+        "ambient_dimension": cfg.dim,
+        "generator_count": len(cfg.gens),
         "lineality_dim": lin,
         "f_vector": list(fv.counts),
         "cell_count": len(cells),
@@ -208,7 +187,7 @@ def cmd_fan(args: argparse.Namespace) -> int:
             for c in cells
         ]
     if args.orbits:
-        orbits = fan_mod.maximal_cell_orbits(cells, gens, names)
+        orbits = fan_mod.maximal_cell_orbits(cells, cfg.gens, cfg.names)
         roman = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V"}
         report["orbits"] = [
             {
@@ -257,16 +236,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
             print(json.dumps(pair_to_json(a, b), sort_keys=True))
             print(f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, {_tc3(cls, args.deep)}")
             return EXIT_OK
-    print(f"error: no {args.region} pair in {args.max_draws} draws (seed {args.seed})", file=sys.stderr)
-    return EXIT_EXHAUSTED
+    return _fail(EXIT_EXHAUSTED, f"no {args.region} pair in {args.max_draws} draws (seed {args.seed})")
 
 
 def cmd_star(args: argparse.Namespace) -> int:
-    a = matrix_from_json(load_json(args.matrix))
-    try:
-        s = kleene_star(a)
-    except NegativeCycleError as exc:
-        return _fail(1, str(exc))
+    s = kleene_star(matrix_from_json(load_json(args.matrix)))
     print(json.dumps(matrix_to_json(s), sort_keys=True))
     return EXIT_OK
 
@@ -286,8 +260,6 @@ def cmd_gens(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     a, b = pair_from_json(load_json(args.pair))
-    if a.n != 3:
-        return _fail(EXIT_UNSUPPORTED, "certificates are implemented for n=3")
     cert = certify_not_in_tc3(a, b, deep=not args.shallow)
     if cert is None:
         print(json.dumps({"status": "unknown", "searched": _searched(not args.shallow)}))
@@ -310,12 +282,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     a, b = pair_from_json(load_json(args.pair))
-    if a.n != 2:
-        return _fail(EXIT_UNSUPPORTED, "lifting is implemented for n=2")
-    try:
-        found = lift_2x2(a, b)
-    except LiftPreconditionError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
+    found = lift_2x2(a, b)
     if found is None:
         print(json.dumps({"status": "not-found"}))
         return EXIT_OK
@@ -342,11 +309,8 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
         x = SeriesMatrix.parse(obj["X"])
         y = SeriesMatrix.parse(obj["Y"])
         a, b = pair_from_json({"n": obj["n"], "A": obj["A"], "B": obj["B"]})
-    except (ValueError, MatrixFormatError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    try:
         check = verify_lift(x, y, a, b)
-    except SizeMismatchError as exc:
+    except ValueError as exc:  # parse errors and mixed sizes alike
         return _fail(EXIT_PARSE, str(exc))
     if check.ok:
         print("VERIFIED")
@@ -358,11 +322,7 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_svg(args: argparse.Namespace) -> int:
-    mats = [matrix_from_json(load_json(p)) for p in args.matrices]
-    try:
-        doc = render_polytrope_svg(mats)
-    except ValueError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
+    doc = render_polytrope_svg([matrix_from_json(load_json(p)) for p in args.matrices])
     if _write(args.output, doc.text):
         return EXIT_PARSE
     print(
@@ -430,11 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  The one place a library refusal becomes an exit
+    code: MatrixFormatError -> 2, NegativeCycleError -> 1, other ValueError -> 3."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MatrixFormatError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    except NegativeCycleError as exc:
+        return _fail(1, str(exc))
     except ValueError as exc:
         return _fail(EXIT_UNSUPPORTED, str(exc))
 

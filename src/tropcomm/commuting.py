@@ -192,6 +192,10 @@ class TropEvaluation:
 
 
 def evaluate_tropically(f: SparsePoly, w: WeightVector) -> TropEvaluation:
+    """The value sum_i m_i * w_i of each term of f at w (one weight per
+    variable), exactly: the minimum, the monomials attaining it in f's term
+    order, the least value above it (None if none) and every value.  An
+    empty f raises ValueError."""
     if not f:
         raise ValueError("empty polynomial")
     vals = tuple((m, _value(m, w)) for m, _ in f.terms)
@@ -614,6 +618,20 @@ class PairClassification:
 
 
 def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairClassification:
+    """Where the n x n pair (A, B), n = 2 or 3, lies.
+
+    ``ts`` (:func:`in_ts`; ``ts_witness`` is the first 1-based entry where
+    AB and BA differ) and ``tpre`` (:func:`in_tpre`, with the failing
+    generators) are exact, and so is ``tc_status`` for n = 2: "in" or "out"
+    of TC2 = Tpre2.  For n = 3, "certified-out" comes with its proof, the
+    ``certificate``; "unknown" proves only that the search found none: no
+    witness-family member has a unique minimal term at (vec A, vec B), and
+    with ``deep`` no monomial of degree <= 4 is an initial form there
+    (:func:`certify_not_in_tc3`).  It never proves membership in TC3.
+
+    Raises SizeMismatchError on mixed sizes, then ValueError for any other
+    n or a +inf entry.
+    """
     _check_sizes(a, b)
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")

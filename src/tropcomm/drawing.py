@@ -106,20 +106,19 @@ class SvgDocument:
 def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
     """Draw column points, tropical hull edges, and image regions as SVG 1.1.
 
-    Every matrix must be 3x3 with finite entries.  Regions are drawn from the
-    Kleene star of each matrix (for a polytrope that is the matrix itself);
-    with exactly two matrices the intersection region im((A+B)*) is filled as
-    well.  Output is deterministic for fixed input.
+    Every matrix must be 3x3 with finite entries and a nonempty image:
+    :func:`region_vertices`, called first on each matrix in turn, raises
+    ValueError otherwise (NegativeCycleError for an empty image).  Regions
+    are drawn from the Kleene star of each matrix (for a polytrope that is
+    the matrix itself); with exactly two matrices the intersection region
+    im((A+B)*) is filled as well.  Output is deterministic for fixed input.
     """
     if not matrices:
         raise ValueError("nothing to draw")
-    for m in matrices:
-        if m.n != 3 or not m.all_finite():
-            raise ValueError("every matrix must be 3x3 with finite entries")
-
     layers = []
     all_pts: list[Point] = []
     for idx, m in enumerate(matrices):
+        region = region_vertices(m)
         cols = [m.column(j) for j in range(3)]
         pts = [tp2_chart(c) for c in cols]
         segs = [
@@ -127,7 +126,6 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
             for i in range(3)
             for j in range(i + 1, 3)
         ]
-        region = region_vertices(m)
         layers.append((idx, pts, segs, region))
         all_pts.extend(p for s in segs for p in s)  # the column points too
         all_pts.extend(region)

@@ -420,8 +420,6 @@ def named_config(name: str) -> FanConfig:
         k = name.split("=", 1)[1]
         if not (k.isascii() and k.isdigit()):
             raise ValueError(f"bad configuration name: {name!r}")
-        n = int(k)
-        if n < 2:
-            raise ValueError("n must be >= 2")
+        n = int(k)  # generators(n) refuses n < 2
         return FanConfig(name=name, gens=tuple(generators(n)), dim=2 * n * n, names=matrix_variables(n))
     raise ValueError(f"unknown configuration {name!r}")

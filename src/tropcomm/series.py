@@ -269,7 +269,7 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     one lcm D; Fractions are built for the returned terms only.
     """
     if a.n != 2 or b.n != 2:
-        raise SizeMismatchError("in_tc2 is defined for 2x2 matrices")
+        raise SizeMismatchError("lifting is implemented for n = 2")
     (av, bv), targets, d = _pair_ints(a, b)
     if not _in_tpre(2, targets).ok:
         raise LiftPreconditionError("pair fails the 2x2 variety membership test")

@@ -487,6 +487,38 @@ def test_lift_verify_rejects_mixed_sizes(tmp_path, capsys, x_n, y_n, ab_n):
     assert err.startswith("error: size mismatch") and "Traceback" not in err
 
 
+_EMPTY_IMAGE = {"n": 3, "entries": [[0, -1, -3], [0, 0, 3], [0, 0, 0]]}  # x1 - x3 <= -3 and >= 0
+_TC2 = pair_to_json(TC2_A, TC2_B)
+
+
+def _lift_doc(**changes):
+    return {"n": 2, "X": LIFT_X, "Y": LIFT_Y, "A": _TC2["A"], "B": _TC2["B"], **changes}
+
+
+@pytest.mark.parametrize("command, doc, code, line", [
+    ("star", _EMPTY_IMAGE, 1, "negative-weight cycle; star diverges"),
+    ("svg", _EMPTY_IMAGE, 1, "negative-weight cycle; star diverges"),
+    ("certify", _TC2, 3, "certificates are implemented for n = 3"),
+    ("certify", {"n": 1, "A": [["0"]], "B": [["0"]]}, 3, "certificates are implemented for n = 3"),
+    ("lift", pair_to_json(P7A_A, P7A_B), 3, "lifting is implemented for n = 2"),
+    ("svg", matrix_to_json(S31_A), 3, "need a finite 3x3 matrix"),
+    ("svg", {"n": 3, "entries": [["0", "inf", "1"], ["1", "0", "1"], ["1", "1", "0"]]}, 3, "need a finite 3x3 matrix"),
+    ("lift-verify", _lift_doc(Y=[["1", "t"], ["t"]]), 2, "matrix is not square"),
+    ("lift-verify", _lift_doc(A=[["0"]]), 2, "A: expected 2x2 entry grid"),
+    ("lift-verify", _lift_doc(n=3, A=_trop_identity(3), B=_trop_identity(3)), 2,
+     "size mismatch: X is 2x2, Y 2x2, A 3x3, B 3x3"),
+], ids=["star-empty-image", "svg-empty-image", "certify-2x2", "certify-1x1", "lift-3x3", "svg-2x2",
+        "svg-non-finite", "lift-verify-non-square-y", "lift-verify-a-wrong-size", "lift-verify-2x2-lift-3x3-pair"])
+def test_each_refusal_has_one_exit_code(tmp_path, capsys, command, doc, code, line):
+    """main maps the library's refusals: a negative cycle exits 1, any other
+    refusal of the input 3, and lift-verify reads every refusal of its file
+    as a parse error, 2."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    extra = ("-o", str(tmp_path / "out.svg")) if command == "svg" else ()
+    assert run(capsys, command, str(path), *extra) == (code, "", f"error: {line}\n")
+
+
 _ZEROS2 = [["0", "0"], ["0", "0"]]
 
 

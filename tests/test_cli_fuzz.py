@@ -22,9 +22,9 @@ from tropcomm.cli import REGIONS, main
 from helpers import LIFT_X, LIFT_Y, P7A_A, P7B_C, P7B_D, TC2_A, TC2_B
 from tropcomm.core import matrix_to_json, pair_to_json
 
-# README "Exit codes": 0 ok, 1 negative cycle (star) or lift not verified
-# (lift-verify), 2 parse error, 3 unsupported input, 4 budget exceeded,
-# 5 sampling exhausted
+# README "Exit codes": 0 ok, 1 negative cycle (star, svg) or lift not
+# verified (lift-verify), 2 parse error, 3 unsupported input, 4 budget
+# exceeded, 5 sampling exhausted
 DOCUMENTED = {
     "check": {0, 2, 3},
     "lift": {0, 2, 3},
@@ -32,7 +32,7 @@ DOCUMENTED = {
     "certify": {0, 2, 3},
     "fan": {0, 2, 3, 4},
     "star": {0, 1, 2, 3},
-    "svg": {0, 2, 3},
+    "svg": {0, 1, 2, 3},
     "sample": {0, 2, 3, 5},
 }
 
