@@ -26,6 +26,7 @@ from .core import (
     NegativeCycleError,
     TropMatrix,
     TropScalar,
+    _printable,
     format_rational,
     kleene_star,
     load_json,
@@ -273,8 +274,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
             for m, c in cert.polynomial.terms
         ],
         "min_monomial": cert.monomial_name(),
-        "min_value": str(cert.min_value),
-        "runner_up_value": str(cert.runner_up_value),
+        "min_value": str(_printable(cert.min_value, "a computed entry")),
+        "runner_up_value": str(_printable(cert.runner_up_value, "a computed entry")),
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
@@ -282,11 +283,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     a, b = pair_from_json(load_json(args.pair))
-    found = lift_2x2(a, b)
-    if found is None:
-        print(json.dumps({"status": "not-found"}))
-        return EXIT_OK
-    x, y = found
+    x, y = lift_2x2(a, b)
     out = {
         "status": "found",
         "n": 2,

@@ -45,7 +45,6 @@ __all__ = [
     "in_tc2",
     "group_elements",
     "variable_permutation",
-    "apply_group",
     "witness_deg3",
     "witness_deg4",
     "witness_family",
@@ -266,7 +265,7 @@ def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
 GroupElement = tuple[tuple[int, ...], bool]  # (sigma as 1-based images, swap x<->y)
 
 
-def group_elements(n: int = 3) -> list[GroupElement]:
+def group_elements(n: int) -> list[GroupElement]:
     """All (sigma, swap) pairs, identity first, in lexicographic order."""
     return [(sigma, swap) for sigma in sorted(permutations(range(1, n + 1))) for swap in (False, True)]
 
@@ -290,10 +289,6 @@ def variable_permutation(g: GroupElement, names: tuple[str, ...]) -> tuple[int, 
     return tuple(perm)
 
 
-def apply_group(f: SparsePoly, g: GroupElement, names: tuple[str, ...]) -> SparsePoly:
-    return f.permute_variables(variable_permutation(g, names))
-
-
 # ---------------------------------------------------------------------------
 # witness polynomials (n = 3)
 # ---------------------------------------------------------------------------
@@ -306,7 +301,7 @@ def witness_deg3(g: GroupElement = ((1, 2, 3), False)) -> SparsePoly:
     names = matrix_variables(3)
     f = commutator_entry(3, 1, 2).mul_monomial(monomial(names, "y21")) - \
         commutator_entry(3, 2, 1).mul_monomial(monomial(names, "y12"))
-    return apply_group(f, g, names)
+    return f.permute_variables(variable_permutation(g, names))
 
 
 def witness_deg4(g: GroupElement = ((1, 2, 3), False)) -> SparsePoly:
@@ -318,7 +313,7 @@ def witness_deg4(g: GroupElement = ((1, 2, 3), False)) -> SparsePoly:
     f = commutator_entry(3, 3, 1).mul_monomial(monomial(names, "y32", "y21")) - \
         commutator_entry(3, 3, 2).mul_monomial(monomial(names, "y31", "y21")) - \
         commutator_entry(3, 2, 1).mul_monomial(monomial(names, "y31", "y32"))
-    return apply_group(f, g, names)
+    return f.permute_variables(variable_permutation(g, names))
 
 
 @cache

@@ -200,13 +200,8 @@ def _extend(node: Node, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optio
     child adds; otherwise it is already the child's reduced row."""
     pivots = dict(node[0])
     added = [c for c in (add_pivot(pivots, row) for row in eqs) if c is not None]
-    if added:  # the old strict rows may need reducing against the new pivots
-        stricts: dict[Row, None] = {}
-        rows = chain(node[1], new_stricts)
-    else:
-        stricts = dict(node[1])
-        rows = new_stricts
-    for r in rows:
+    stricts: dict[Row, None] = {}
+    for r in chain(node[1], new_stricts):
         if any(r[c] for c in added):
             r = eliminate(r, pivots)
         # r < 0 is impossible when r = 0, or when -r < 0 is required too

@@ -222,14 +222,12 @@ def star_image_contains(star: TropMatrix, x: TropVector) -> bool:
     return all(mij is None or vi - vj <= mij for row, vi in zip(m, v) for mij, vj in zip(row, v))
 
 
-def random_premetric(
-    rng: random.Random, n: int, hi: int = 1000, denominator: int = 100
-) -> TropMatrix:
-    """Random premetric: off-diagonal entries k/denominator, 1 <= k <= hi."""
+def random_premetric(rng: random.Random, n: int) -> TropMatrix:
+    """Random premetric: off-diagonal entries k/100, 1 <= k <= 1000."""
     return TropMatrix(
         tuple(
             tuple(
-                ZERO if i == j else TropScalar(Fraction(rng.randint(1, hi), denominator))
+                ZERO if i == j else TropScalar(Fraction(rng.randint(1, 1000), 100))
                 for j in range(n)
             )
             for i in range(n)

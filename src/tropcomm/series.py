@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .commuting import _in_tpre, _pair_ints
-from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale
+from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale, _printable
 from .polynomials import _signed_sum
 
 __all__ = [
@@ -86,11 +86,13 @@ class SeriesPoly:
 
 
 def _fmt_exp(e: Fraction) -> str:
+    e = _printable(e, "a computed entry")
     return str(e.numerator) if e.denominator == 1 else f"({e})"
 
 
 def format_series(s: SeriesPoly) -> str:
-    return _signed_sum((c, "" if e == 0 else "t" if e == 1 else f"t^{_fmt_exp(e)}") for e, c in s.terms)
+    return _signed_sum((_printable(c, "a computed entry"), "" if e == 0 else "t" if e == 1 else f"t^{_fmt_exp(e)}")
+                       for e, c in s.terms)
 
 
 _TERM_RE = re.compile(
@@ -243,7 +245,7 @@ def _lift_failures(n: int, polys: list, targets: list) -> list[tuple[str, tuple[
     return fails
 
 
-def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, SeriesMatrix]]:
+def lift_2x2(a: TropMatrix, b: TropMatrix) -> tuple[SeriesMatrix, SeriesMatrix]:
     """A commuting series lift (X, Y) with val X = a, val Y = b.
 
     Uses the ansatz Y = alpha*I + t^v * X with X monomial off the diagonal:
@@ -264,9 +266,9 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
 
     The precondition is :func:`tropcomm.commuting.in_tc2`, i.e. membership
     in the prevariety Tpre2, with its exceptions in its order.  The ansatz
-    covers all of Tpre2, so None on a Tpre2 point is a bug.  The test, the
-    ansatz and the check run on the entries of a and b scaled to ints by
-    one lcm D; Fractions are built for the returned terms only.
+    covers all of Tpre2, so a failed check is a bug (AssertionError).  The
+    test, the ansatz and the check run on the entries of a and b scaled to
+    ints by one lcm D; Fractions are built for the returned terms only.
     """
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("lifting is implemented for n = 2")
@@ -295,7 +297,7 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> Optional[tuple[SeriesMatrix, Serie
     # Y = alpha*I + t^v * X
     ys = [plus_alpha(u[0]), [(av[0][1] + v, 1)], [(av[1][0] + v, 1)], plus_alpha(u[1])]
     if _lift_failures(2, xs + ys, targets):
-        return None
+        raise AssertionError("the Tpre2 ansatz failed its own check")
 
     def matrix(polys: list[list[tuple[int, int]]]) -> SeriesMatrix:
         entries = [SeriesPoly(tuple((Fraction(e, d), Fraction(c)) for e, c in p)) for p in polys]

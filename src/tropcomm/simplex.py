@@ -31,7 +31,6 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 __all__ = [
-    "UnboundedNormalizationError",
     "primitive",
     "eliminate",
     "add_pivot",
@@ -41,10 +40,6 @@ __all__ = [
 
 Row = tuple[int, ...]
 Witness = tuple[Row, int]  # (W, d): the rational point W/d, d > 0
-
-
-class UnboundedNormalizationError(RuntimeError):
-    """The slack-bounded LP reported unbounded; internal inconsistency."""
 
 
 def primitive(row: Sequence[int]) -> Row:
@@ -138,7 +133,7 @@ def _simplex_max_t(strict_rows: Sequence[Sequence[int]], d: int) -> tuple[int, l
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, a_leave = i, a
         if leave < 0:
-            raise UnboundedNormalizationError("t <= 1 should bound the program")
+            raise AssertionError("t <= 1 should bound the program")
         prow = tab[leave]
         out = basis[leave]
         if d <= out < 2 * d:  # z-_j leaves: store its column negated, as z+_j
@@ -181,14 +176,13 @@ def strict_feasibility(pivots: dict[int, Row], stricts: Sequence[Row], dim: int)
 
     ``pivots`` holds E reduced as ``add_pivot`` builds it; ``stricts`` are
     the rows of S, each nonzero and already reduced by ``eliminate`` against
-    ``pivots``, so the LP reads them on the free columns only.  d is the
-    lcm of the pivot leads times the LP vertex's denominator; W alone, a
-    positive multiple of w, is a witness too."""
+    ``pivots``, so the LP reads them on the free columns only; a nonzero
+    reduced row is zero on the pivot columns, so some column is free.  d
+    is the lcm of the pivot leads times the LP vertex's denominator; W
+    alone, a positive multiple of w, is a witness too."""
     if not stricts:
         return (0,) * dim, 1
     free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        return None
     t, z, den = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
     if t <= 0:
         return None

@@ -605,14 +605,27 @@ def test_entry_exponent_at_the_limit_is_read(tmp_path, capsys):
 
 
 def test_star_refuses_a_computed_entry_too_long_to_print(tmp_path, capsys):
-    """Entries within the bound can give a star entry beyond Python's
-    int-string limit: 1/21 - 10^-4299 has a 4,301-digit denominator."""
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": 3, "entries": [["0", "1/21", "5"], ["5", "0", "-1e-4299"], ["5", "5", "0"]]}))
-    code, out, err = run(capsys, "star", str(path))
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and "computed entry has more than 4,300 digits" in err
-    assert "set_int_max_str_digits" not in err
+    """Entries within the bound can give an output value beyond Python's
+    int-string limit: the star entry 1/21 - 10^-4299 has a 4,301-digit
+    denominator; certify's min_value and lift's exponent v = b12 - a12 are
+    sums of two 4,300-digit entries."""
+    nines = "9" * 4300
+    big_b = [[nines] * 3 for _ in range(3)]
+    big_b[1][1] = "0"
+    big_pair = {"n": 3, "A": [[nines] * 3] * 3, "B": big_b}
+    cases = [
+        (("star",), {"n": 3, "entries": [["0", "1/21", "5"], ["5", "0", "-1e-4299"], ["5", "5", "0"]]}),
+        (("certify",), big_pair),
+        (("certify", "--shallow"), big_pair),
+        (("lift",), {"n": 2, "A": [["0", nines], [nines, "0"]], "B": [["0", "-" + nines], ["-" + nines, "0"]]}),
+    ]
+    path = tmp_path / "in.json"
+    for command, obj in cases:
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 3 and out == "", command
+        assert err.startswith("error:") and "computed entry has more than 4,300 digits" in err, command
+        assert "set_int_max_str_digits" not in err
 
 
 def test_json_numbers_are_read_exactly(tmp_path, capsys):

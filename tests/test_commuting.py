@@ -247,7 +247,7 @@ def test_group_reads_a_missing_symmetric_variable_as_its_transpose():
     for ge in group_elements(3):
         assert sorted(commuting.variable_permutation(ge, names)) == list(range(12))
         for g in gens:
-            image = commuting.apply_group(g, ge, names)
+            image = g.permute_variables(commuting.variable_permutation(ge, names))
             assert any(image.equal_up_to_sign(h) for h in gens)
     # sigma swaps 1 and 2: x13 goes to x23, x12 to x21, which is read as x12
     perm = commuting.variable_permutation(((2, 1, 3), False), names)

@@ -19,6 +19,7 @@ from tropcomm import (
     in_ts,
     lift_2x2,
     parse_series,
+    series,
     val_matrix,
     verify_lift,
 )
@@ -269,16 +270,17 @@ def test_lift_of_equal_pair():
 
 def test_lift_on_random_variety_points():
     rng = random.Random(73)
-    found = 0
     for _ in range(100):
         a, b = random_tc2_pair(rng)
-        got = lift_2x2(a, b)
-        if got is not None:
-            x, y = got
-            assert verify_lift(x, y, a, b).ok
-            assert in_tc2(val_matrix(x), val_matrix(y))
-            found += 1
-    assert found >= 80  # the constructive ansatz covers every sampled point
+        x, y = lift_2x2(a, b)
+        assert verify_lift(x, y, a, b).ok
+        assert in_tc2(val_matrix(x), val_matrix(y))
+
+
+def test_lift_failing_its_own_check_is_a_bug(monkeypatch):
+    monkeypatch.setattr(series, "_lift_failures", lambda n, polys, targets: [("commutation", (1, 2))])
+    with pytest.raises(AssertionError):
+        lift_2x2(TC2_A, TC2_B)
 
 
 def test_lift_exists_beyond_generic_membership_test():

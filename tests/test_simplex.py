@@ -71,3 +71,19 @@ def test_integer_tableau_matches_fraction_tableau_on_every_fan_lp(monkeypatch):
     for rows, d in issued:
         infeasible += assert_same_vertex(rows, d)[0] <= 0
     assert infeasible == 160
+
+
+def test_no_free_column_is_decided_by_the_lp(monkeypatch):
+    # a zero strict row with every column a pivot breaks the contract, but
+    # the LP over no columns still gives t = 0, so the answer is None
+    issued = []
+    real = simplex._simplex_max_t
+
+    def record(rows, d):
+        issued.append((rows, d))
+        return real(rows, d)
+
+    monkeypatch.setattr(simplex, "_simplex_max_t", record)
+    assert simplex.strict_feasibility({0: (1,)}, [(0,)], 1) is None
+    assert simplex.strict_feasibility({0: (1, 0), 1: (0, 1)}, [(0, 0)], 2) is None
+    assert issued == [([()], 0), ([()], 0)]
