@@ -224,8 +224,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return _fail(EXIT_PARSE, f"--max-draws must be >= 1, not {args.max_draws}")
     if args.range < 0:
         return _fail(EXIT_PARSE, f"--range must be >= 0, not {args.range}")
-    if args.n != 3:
-        return _fail(EXIT_UNSUPPORTED, "sampling is implemented for n=3")
     rng = random.Random(args.seed)
     in_region = REGIONS[args.region]
     for draw in range(1, args.max_draws + 1):
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="random search for a region representative")
     s.add_argument("--region", required=True, choices=REGIONS)
-    s.add_argument("--n", type=int, default=3)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-draws", type=int, default=100000)
     s.add_argument("--range", type=int, default=4, help="entries drawn uniformly from 0..range")

@@ -8,9 +8,11 @@ tropical commuting variety: polynomials of the ideal whose minimum at a
 given weight is attained by a unique term.  The homogeneity (lineality)
 space is counted by :func:`tropcomm.fan.lineality_dim`.
 
-Every decision reads the term values at the weight scaled to ints by the
-lcm of its denominators (:func:`_term_values`); :func:`evaluate_tropically`
-gives the same minima on Fractions for callers that want them.
+Every decision reads the pair scaled to ints by the lcm of its
+denominators: TS and Tpre from one table of the commutator's term values
+(:func:`_commutator_sums`), the certificates from each polynomial's
+(:func:`_term_values`).  :func:`evaluate_tropically` gives the same minima
+on Fractions for callers that want them.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from functools import cache
 from heapq import heappop, heappush
 from itertools import chain, combinations_with_replacement, permutations
 from math import gcd, inf, isqrt
+from operator import add
 from typing import Iterable, Optional, Sequence, TypeVar
 
-from .core import IntGrid, SizeMismatchError, TropMatrix, _check_sizes, _int_grids, _int_mul
+from .core import IntGrid, SizeMismatchError, TropMatrix, _check_sizes, _int_grids
 from .polynomials import Monomial, SparsePoly, matrix_variables, monomial, monomial_str, symmetric_variables
-from .polytrope import _first_difference, commutes
+from .polytrope import commutes
 
 __all__ = [
     "WeightVector",
@@ -118,8 +121,12 @@ def _term_values(support: Support, iw: Sequence[int]) -> list[int]:
 
 
 @cache
-def _generator_supports(n: int) -> tuple[tuple[tuple[int, int], Support], ...]:
-    return tuple((label, _support(g)) for label, g in labeled_generators(n))
+def _commutator_entries(n: int) -> tuple[tuple[tuple[int, int], int, int, bool], ...]:
+    """The entries of the n x n commutator XY - YX, row-major, each as its
+    1-based label (k, l), its 0-based row and column, and whether it is a
+    generator of :func:`labeled_generators` (for n = 2, (2, 2) is not)."""
+    labels = {label for label, _ in labeled_generators(n)}
+    return tuple(((k + 1, l + 1), k, l, (k + 1, l + 1) in labels) for k in range(n) for l in range(n))
 
 
 @cache
@@ -225,19 +232,36 @@ class TpreResult:
 
 
 def in_tpre(a: TropMatrix, b: TropMatrix) -> TpreResult:
-    """Prevariety membership: every commutator generator tropically satisfied."""
-    _, iw, _ = _pair_ints(a, b)
-    return _in_tpre(a.n, iw)
+    """Prevariety membership: every commutator generator tropically
+    satisfied.  x_kk*y_kk cancels in (XY - YX)[k][k], so its value
+    a_kk + b_kk is left out there (see :func:`_commutator_sums`)."""
+    (x, y), _, _ = _pair_ints(a, b)
+    return _commutator_sums(x, y)[1]
 
 
-def _in_tpre(n: int, iw: Sequence[int]) -> TpreResult:
-    """:func:`in_tpre` at the weight scaled to ints."""
-    fails = []
-    for label, sup in _generator_supports(n):
-        vals = _term_values(sup, iw)
-        if vals.count(min(vals)) < 2:
+def _commutator_sums(x: IntGrid, y: IntGrid) -> tuple[Optional[tuple[int, int]], TpreResult]:
+    """TS and Tpre of a pair scaled to the finite int grids x, y (n >= 2)
+    from one table: at each (k, l), row-major, the term values
+    p_s = x_ks + y_sl of (XY)[k][l] and q_s = y_ks + x_sl of (YX)[k][l].
+    The TS witness is the first 1-based (k, l) with min p != min q (None:
+    AB == BA); generator (k, l) fails when the least of p and q together is
+    attained once, the cancelled s = k terms left out on the diagonal."""
+    xcols, ycols = list(zip(*x)), list(zip(*y))
+    witness, fails = None, []
+    for label, k, l, generator in _commutator_entries(len(x)):
+        p, q = list(map(add, x[k], ycols[l])), list(map(add, y[k], xcols[l]))
+        lo_p, lo_q = min(p), min(q)
+        if lo_p != lo_q and witness is None:
+            witness = label
+        if not generator:
+            continue
+        if k == l:
+            del p[k], q[k]
+            lo_p, lo_q = min(p), min(q)
+        # a minimum in both lists is attained twice; else count it in its own
+        if lo_p != lo_q and (p.count(lo_p) if lo_p < lo_q else q.count(lo_q)) < 2:
             fails.append(label)
-    return TpreResult(ok=not fails, failures=tuple(fails))
+    return witness, TpreResult(ok=not fails, failures=tuple(fails))
 
 
 def in_tc2(a: TropMatrix, b: TropMatrix) -> bool:
@@ -617,12 +641,15 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
 
     ``ts`` (:func:`in_ts`; ``ts_witness`` is the first 1-based entry where
     AB and BA differ) and ``tpre`` (:func:`in_tpre`, with the failing
-    generators) are exact, and so is ``tc_status`` for n = 2: "in" or "out"
-    of TC2 = Tpre2.  For n = 3, "certified-out" comes with its proof, the
-    ``certificate``; "unknown" proves only that the search found none: no
-    witness-family member has a unique minimal term at (vec A, vec B), and
-    with ``deep`` no monomial of degree <= 4 is an initial form there
-    (:func:`certify_not_in_tc3`).  It never proves membership in TC3.
+    generators) are exact, both read from one table of the sums a_ks + b_sl
+    and b_ks + a_sl; on the diagonal the s = k sums are left out of the
+    ties, since x_kk*y_kk cancels in XY - YX.  ``tc_status`` is exact for
+    n = 2: "in" or "out" of TC2 = Tpre2.  For n = 3, "certified-out" comes
+    with its proof, the ``certificate``; "unknown" proves only that the
+    search found none: no witness-family member has a unique minimal term
+    at (vec A, vec B), and with ``deep`` no monomial of degree <= 4 is an
+    initial form there (:func:`certify_not_in_tc3`).  It never proves
+    membership in TC3.
 
     Raises SizeMismatchError on mixed sizes, then ValueError for any other
     n or a +inf entry.
@@ -630,10 +657,9 @@ def classify_pair(a: TropMatrix, b: TropMatrix, *, deep: bool = True) -> PairCla
     _check_sizes(a, b)
     if a.n not in (2, 3):
         raise ValueError("classification is implemented for n in {2, 3}")
-    # one scaling serves the min-plus products and the weight of the ties
+    # one scaling serves the table of commutator sums and the certificates
     (x, y), iw, d = _pair_ints(a, b)
-    ts_wit = _first_difference(_int_mul(x, y), _int_mul(y, x))
-    tpre = _in_tpre(a.n, iw)
+    ts_wit, tpre = _commutator_sums(x, y)
     cert = None
     if a.n == 2:
         status = "in" if tpre.ok else "out"  # TC2 = Tpre2, see in_tc2

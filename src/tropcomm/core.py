@@ -13,7 +13,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -278,8 +280,9 @@ IntGrid = list[list[Optional[int]]]
 def _lcm_scale(values: Sequence[Optional[Fraction]]) -> tuple[list[Optional[int]], int]:
     """The values times the lcm D of their denominators, as ints (None
     stays None), and D."""
-    d = lcm(*{v.denominator for v in values if v is not None})
-    return [None if v is None else v.numerator * (d // v.denominator) for v in values], d
+    ratios = [None if v is None else v.as_integer_ratio() for v in values]
+    d = lcm(*{r[1] for r in ratios if r is not None})
+    return [None if r is None else r[0] * (d // r[1]) for r in ratios], d
 
 
 def _int_grids(*grids: Sequence[Sequence[TropScalar]]) -> tuple[list[IntGrid], int]:
@@ -298,15 +301,14 @@ def _from_int_grid(grid: IntGrid, d: int) -> TropMatrix:
 
 
 def _int_mul(x: IntGrid, y: IntGrid) -> IntGrid:
-    """Min-plus product of int grids; x's rows are as long as y's columns."""
+    """Min-plus product of int grids; x's rows are as long as y's columns.
+    Finite grids take the plain sums; only a grid holding +inf (None) needs
+    the loop that skips it."""
     cols = list(zip(*y))
-    return [
-        [
-            min((p + q for p, q in zip(row, col) if p is not None and q is not None), default=None)
-            for col in cols
-        ]
-        for row in x
-    ]
+    if None in chain(*x, *y):
+        return [[min((p + q for p, q in zip(row, col) if p is not None and q is not None), default=None)
+                 for col in cols] for row in x]
+    return [[min(map(add, row, col)) for col in cols] for row in x]
 
 
 def _int_min(x: IntGrid, y: IntGrid) -> IntGrid:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .commuting import _in_tpre, _pair_ints
+from .commuting import _commutator_sums, _pair_ints
 from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale, _printable
 from .polynomials import _signed_sum
 
@@ -273,7 +273,7 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> tuple[SeriesMatrix, SeriesMatrix]:
     if a.n != 2 or b.n != 2:
         raise SizeMismatchError("lifting is implemented for n = 2")
     (av, bv), targets, d = _pair_ints(a, b)
-    if not _in_tpre(2, targets).ok:
+    if not _commutator_sums(av, bv)[1].ok:
         raise LiftPreconditionError("pair fails the 2x2 variety membership test")
 
     v = bv[0][1] - av[0][1]

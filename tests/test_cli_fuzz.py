@@ -209,7 +209,6 @@ def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys, command, fl
 SAMPLE_OPTIONS = {
     "--max-draws": ["-5", "0", "1", "2", "x", "1.5", ""],
     "--range": ["-1", "0", "1", "4", "-0", "x"],
-    "--n": ["3", "2", "4", "0", "x"],
     "--seed": ["0", "-3", "x"],
     "--region": ["ts-minus-tpre", "tpre-minus-ts", "certified-out", "bogus"],
 }

@@ -599,7 +599,7 @@ def test_shared_scaling_matches_fraction_oracle_2x2_and_inf():
 
 @pytest.mark.parametrize("entry, sizes", [
     (weight_of_pair, (2, 3)),
-    (in_tpre, (2, 3)),
+    (in_tpre, (2, 3, 4)),
     (certify_not_in_tc3, (3,)),
     (commuting.find_monomial_initial_form, (3,)),
     (classify_pair, (2, 3)),
@@ -627,7 +627,7 @@ def test_pair_entry_points_share_one_error_contract(entry, sizes):
 
 
 _CACHED = ("labeled_generators", "generators", "_labeled_symmetric_generators", "symmetric_generators",
-           "witness_family", "_generator_supports", "_family_supports", "_slice_data")
+           "witness_family", "_commutator_entries", "_family_supports", "_slice_data")
 
 
 def test_constant_data_is_built_once(monkeypatch):
@@ -656,6 +656,7 @@ def test_constant_data_is_built_once(monkeypatch):
         assert commuting.witness_family.cache_info().misses == 1
         assert commuting.labeled_generators.cache_info().misses == 1
         assert commuting._family_supports.cache_info().misses == 1
+        assert commuting._commutator_entries.cache_info().misses == 1
         # the slice search builds its weight-independent data once per degree
         for a, b in [(P7B_C, P7B_D), (P7A_A, P7A_B), (P7B_C, P7B_D)]:
             commuting.find_monomial_initial_form(a, b, degree=3)

@@ -26,6 +26,7 @@ from tropcomm import (
     classify_polytrope_pair,
     commutes,
     in_tc2,
+    in_tpre,
     is_polytrope,
     kleene_star,
     lift_2x2,
@@ -40,8 +41,9 @@ from tropcomm import (
     weight_of_pair,
 )
 from tropcomm import commuting
-from tropcomm.commuting import evaluate_tropically
+from tropcomm.commuting import TpreResult, evaluate_tropically, labeled_generators
 from tropcomm.core import TropScalar, _lcm_scale
+from tropcomm.polytrope import first_difference
 from tropcomm.series import LiftCheck, SeriesMatrix, SeriesPoly, _sum_of_products
 
 from helpers import (
@@ -421,3 +423,108 @@ def test_lift_2x2_raises_in_the_order_of_in_tc2():
             with pytest.raises(error) as raised:
                 in_tc2(a, b)
             assert raised.type is error, (a, b)
+
+
+def tie_prone_pair(rng: random.Random, n: int, kind: int) -> tuple[TropMatrix, TropMatrix]:
+    """Entries 0..2, so ties are common; every other pair divides them by
+    denominators drawn from DENOMINATORS, so the scaling D is not 1.  Kind
+    0 draws B on its own; kind 1 takes B = A + c, which lies in TS and
+    Tpre; kind 2 changes one entry of that B."""
+    mixed = rng.random() < 0.5
+
+    def entry() -> Fraction:
+        return Fraction(rng.randint(0, 2), rng.choice(DENOMINATORS) if mixed else 1)
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == 0:
+        b = [[entry() for _ in range(n)] for _ in range(n)]
+    else:
+        c = entry()
+        b = [[e + c for e in row] for row in a]
+        if kind == 2:
+            b[rng.randrange(n)][rng.randrange(n)] = entry()
+    return TropMatrix.of(a), TropMatrix.of(b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_commutator_sums_match_products_and_generators(n):
+    """The one table of commutator sums against an independent route: the
+    TS witness is the first entry where AB and BA differ, and the Tpre
+    failures are the generators, in order, whose minimum at the pair's
+    weight is not attained twice."""
+    rng = random.Random(2600 + n)
+    seen = Counter()
+    for trial in range(150):
+        a, b = tie_prone_pair(rng, n, trial % 3)
+        w = weight_of_pair(a, b)
+        want_witness = first_difference(trop_mul(a, b), trop_mul(b, a))
+        want_fails = tuple(label for label, g in labeled_generators(n)
+                           if not evaluate_tropically(g, w).satisfied)
+        (x, y), _, _ = commuting._pair_ints(a, b)
+        assert commuting._commutator_sums(x, y) == (want_witness, TpreResult(not want_fails, want_fails))
+        assert in_tpre(a, b) == TpreResult(not want_fails, want_fails)
+        if n <= 3:
+            cls = classify_pair(a, b, deep=False)
+            assert (cls.ts_witness, cls.tpre.failures) == (want_witness, want_fails)
+        seen["ts"] += want_witness is None
+        seen["tpre"] += not want_fails
+        seen["diagonal fails"] += any(k == l for k, l in want_fails)
+        seen["off-diagonal fails"] += any(k != l for k, l in want_fails)
+    assert all(seen[k] for k in ("ts", "tpre", "diagonal fails", "off-diagonal fails")), seen
+
+
+def test_commutator_sums_leave_out_the_cancelled_diagonal_term():
+    """x11*y11 cancels in (XY - YX)[1][1]: a least sum a11 + b11 seen twice
+    is no tie.  For n = 2, g22 = -g11 is no generator, so its entry is
+    never reported."""
+    a = TropMatrix.of([[0, 5], [5, 3]])
+    b = TropMatrix.of([[0, 4], [6, 2]])
+    # (1,1): x11*y11 and y11*x11 both weigh 0, x12*y21 11 and y12*x21 9
+    assert in_tpre(a, b) == TpreResult(False, ((1, 1), (1, 2), (2, 1)))
+    for n in (2, 3, 4):
+        entries = commuting._commutator_entries(n)
+        assert [label for label, *_ in entries] == [(k, l) for k in range(1, n + 1) for l in range(1, n + 1)]
+        assert [label for label, *_, generator in entries if generator] == [label for label, _ in labeled_generators(n)]
+
+
+def test_in_tpre_refuses_n_1():
+    """A 1x1 commutator has no generator (its +inf refusal is pinned with
+    the other pair entry points in tests/test_commuting.py)."""
+    one = TropMatrix.of([[0]])
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        in_tpre(one, one)
+
+
+def with_inf(rng: random.Random, n: int, pattern: str) -> TropMatrix:
+    """A matrix with mixed denominators: finite, with some +inf entries, or
+    with one whole row or column of +inf."""
+    rows = [[mixed_value(rng, -20, 40, 0.3 if pattern == "some" else 0) for _ in range(n)] for _ in range(n)]
+    k = rng.randrange(n)
+    for i in range(n):
+        if pattern == "row":
+            rows[k][i] = None
+        elif pattern == "column":
+            rows[i][k] = None
+    return TropMatrix.of(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int_mul_paths_match_scalar_loops(n):
+    """_int_mul takes the plain sums when neither grid holds +inf and skips
+    +inf only when one does; both paths against the TropScalar loops,
+    through trop_mul, mat_vec, commutes and preimage, on finite grids, on
+    grids with some +inf entries and on a whole +inf row or column."""
+    rng = random.Random(2700 + n)
+    finite = Counter()
+    for pattern in ("finite", "some", "row", "column"):
+        for _ in range(25):
+            a, b = with_inf(rng, n, pattern), with_inf(rng, n, rng.choice(("finite", pattern)))
+            x = a.column(0)
+            assert repr(trop_mul(a, b)) == repr(scalar_trop_mul(a, b))
+            assert repr(mat_vec(b, x)) == repr(scalar_mat_vec(b, x))
+            assert commutes(a, b) == (scalar_trop_mul(a, b) == scalar_trop_mul(b, a))
+            finite[a.all_finite() and b.all_finite()] += 1
+        p = mixed_polytrope(rng, n)
+        inside = mat_vec(p, TropVector.of([mixed_value(rng, -20, 40, 0) for _ in range(n)]))
+        assert preimage(p, inside) == scalar_preimage(p, inside)
+    assert finite[True] and finite[False], finite
