@@ -282,14 +282,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_lift(args: argparse.Namespace) -> int:
     a, b = pair_from_json(load_json(args.pair))
     x, y = lift_2x2(a, b)
-    out = {
-        "status": "found",
-        "n": 2,
-        "X": x.to_grid(),
-        "Y": y.to_grid(),
-        "A": matrix_to_json(a)["entries"],
-        "B": matrix_to_json(b)["entries"],
-    }
+    out = {"status": "found", "X": x.to_grid(), "Y": y.to_grid(), **pair_to_json(a, b)}
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

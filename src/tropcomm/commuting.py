@@ -67,7 +67,9 @@ L = TypeVar("L")  # the label of a polynomial
 # ---------------------------------------------------------------------------
 
 def commutator_entry(n: int, k: int, l: int) -> SparsePoly:
-    """(XY - YX)[k][l] over the 2n^2 variables, 1-based entry indices."""
+    """(XY - YX)[k][l] over the 2n^2 variables; 1 <= k, l <= n, else ValueError."""
+    if not (1 <= k <= n and 1 <= l <= n):
+        raise ValueError(f"entry ({k}, {l}) is outside 1..{n}")
     names = matrix_variables(n)
     terms: list[tuple[Monomial, int]] = []
     for s in range(1, n + 1):
@@ -201,9 +203,12 @@ def evaluate_tropically(f: SparsePoly, w: WeightVector) -> TropEvaluation:
     """The value sum_i m_i * w_i of each term of f at w (one weight per
     variable), exactly: the minimum, the monomials attaining it in f's term
     order, the least value above it (None if none) and every value.  An
-    empty f raises ValueError."""
+    empty f, or a w whose length is not f's variable count, raises
+    ValueError."""
     if not f:
         raise ValueError("empty polynomial")
+    if len(w) != len(f.terms[0][0]):
+        raise ValueError(f"{len(w)} weights for {len(f.terms[0][0])} variables")
     vals = tuple((m, _value(m, w)) for m, _ in f.terms)
     mn = min(v for _, v in vals)
     argmin = tuple(m for m, v in vals if v == mn)

@@ -88,6 +88,12 @@ def _printable(q: Fraction, what: str) -> Fraction:
     return q
 
 
+def _fraction(x: Fraction | int) -> Fraction:
+    """x as a plain Fraction: a Fraction (immutable) as it is, anything
+    else, a Fraction subclass included, through ``Fraction(x)``."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @cache
 def _power_of_ten(k: int) -> int:
     return 10 ** k
@@ -145,8 +151,7 @@ class TropScalar:
             return scalar_from_text(x)
         if isinstance(x, bool):  # an int subclass, never a valid entry
             raise MatrixFormatError(f"bad entry {x!r}: not a number")
-        # a Fraction is immutable, so it is kept; subclasses are normalised
-        return TropScalar(x if type(x) is Fraction else Fraction(x))
+        return TropScalar(_fraction(x))
 
     @property
     def is_finite(self) -> bool:
@@ -204,16 +209,28 @@ class TropVector:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class TropMatrix:
-    """A square matrix over the min-plus semiring."""
-
-    rows: tuple[tuple[TropScalar, ...], ...]
+class _Square:
+    """The shape of tropical and series matrices: a frozen dataclass whose
+    one field ``rows`` is an n x n grid, with its size n and 0-based m[i, j]."""
 
     def __post_init__(self) -> None:
         n = len(self.rows)
         if any(len(r) != n for r in self.rows):
             raise SizeMismatchError("matrix is not square")
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, ij: tuple[int, int]):
+        return self.rows[ij[0]][ij[1]]
+
+
+@dataclass(frozen=True)
+class TropMatrix(_Square):
+    """A square matrix over the min-plus semiring."""
+
+    rows: tuple[tuple[TropScalar, ...], ...]
 
     @staticmethod
     def of(rows: Iterable[Iterable[ScalarLike]]) -> "TropMatrix":
@@ -227,14 +244,6 @@ class TropMatrix:
                 for i in range(n)
             )
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> TropScalar:
-        i, j = ij
-        return self.rows[i][j]
 
     def column(self, j: int) -> TropVector:
         return TropVector(tuple(self.rows[i][j] for i in range(self.n)))
@@ -442,8 +451,8 @@ def pair_to_json(a: TropMatrix, b: TropMatrix) -> dict:
     _check_sizes(a, b)
     return {
         "n": a.n,
-        "A": [[scalar_to_text(e) for e in row] for row in a.rows],
-        "B": [[scalar_to_text(e) for e in row] for row in b.rows],
+        "A": matrix_to_json(a)["entries"],
+        "B": matrix_to_json(b)["entries"],
     }
 
 

@@ -4,6 +4,8 @@ A monomial is an exponent tuple over a fixed variable list; a polynomial is
 a canonical mapping from monomials to nonzero integer coefficients.  The
 variable list itself is carried separately (see :func:`matrix_variables`):
 polynomials are plain data, so they hash, compare, and pickle cheaply.
+Sum, difference and negation come from :class:`_TermSum`, shared with
+the series of :mod:`tropcomm.series`.
 """
 
 from __future__ import annotations
@@ -83,26 +85,42 @@ def _signed_sum(terms: Iterable[tuple[Any, str]]) -> str:
     return " ".join(chunks) or "0"
 
 
-@dataclass(frozen=True)
-class SparsePoly:
-    """Canonical integer polynomial: sorted (monomial, coefficient) pairs."""
+class _TermSum:
+    """The algebra of polynomials and series: a frozen dataclass whose one
+    field ``terms`` holds (key, coefficient) pairs sorted by key, one per
+    key, none with coefficient 0."""
 
-    terms: tuple[tuple[Monomial, int], ...]
+    @classmethod
+    def from_terms(cls, terms: Mapping | Iterable[tuple]) -> "_TermSum":
+        """Sum the coefficients per key, drop zero sums and sort by key;
+        ``terms`` is a mapping or an iterable of (key, coefficient)."""
+        acc: dict = {}
+        for k, c in terms.items() if isinstance(terms, Mapping) else terms:
+            acc[k] = acc.get(k, 0) + c
+        return cls(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
 
-    @staticmethod
-    def from_terms(terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]]) -> "SparsePoly":
-        acc: dict[Monomial, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
-            acc[m] = acc.get(m, 0) + c
-        return SparsePoly(tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "SparsePoly":
-        return SparsePoly(())
+    @classmethod
+    def zero(cls) -> "_TermSum":
+        return cls(())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __add__(self, other: "_TermSum") -> "_TermSum":
+        return self.from_terms(self.terms + other.terms)
+
+    def __neg__(self) -> "_TermSum":
+        return type(self)(tuple((k, -c) for k, c in self.terms))
+
+    def __sub__(self, other: "_TermSum") -> "_TermSum":
+        return self + (-other)
+
+
+@dataclass(frozen=True)
+class SparsePoly(_TermSum):
+    """Canonical integer polynomial: sorted (monomial, coefficient) pairs."""
+
+    terms: tuple[tuple[Monomial, int], ...]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -118,15 +136,6 @@ class SparsePoly:
             if mm == m:
                 return c
         return 0
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return SparsePoly.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
 
     def mul_monomial(self, m: Monomial) -> "SparsePoly":
         return SparsePoly.from_terms((tuple(a + b for a, b in zip(mm, m)), c) for mm, c in self.terms)

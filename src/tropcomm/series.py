@@ -3,7 +3,8 @@
 These are exact elements of the (Puiseux-style) field used to lift tropical
 matrices: the valuation of a series is its least exponent, and entrywise
 valuation turns a classical matrix into a tropical one.  Arithmetic is exact
-polynomial arithmetic on (exponent, coefficient) pairs.
+polynomial arithmetic on (exponent, coefficient) pairs, with the sum,
+difference and negation of :class:`tropcomm.polynomials._TermSum`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .commuting import _commutator_sums, _pair_ints
-from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _lcm_scale, _printable
-from .polynomials import _signed_sum
+from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _fraction, _lcm_scale, _printable, _Square
+from .polynomials import _signed_sum, _TermSum
 
 __all__ = [
     "SeriesPoly",
@@ -33,50 +34,24 @@ class LiftPreconditionError(ValueError):
     """lift_2x2 requires membership in the 2x2 tropical commuting variety."""
 
 
-def _q(x) -> Fraction:
-    # a Fraction is immutable, so it is kept as it is
-    return x if type(x) is Fraction else Fraction(x)
-
-
 @dataclass(frozen=True)
-class SeriesPoly:
+class SeriesPoly(_TermSum):
     """Canonical finite sum of c * t^e, sorted by exponent, no zero c."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]  # (exponent, coefficient)
 
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[Fraction, Fraction]]) -> "SeriesPoly":
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in terms:
-            e, c = _q(e), _q(c)
-            acc[e] = acc.get(e, 0) + c
-        return SeriesPoly(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "SeriesPoly":
-        return SeriesPoly(())
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[Fraction, Fraction]]) -> "SeriesPoly":
+        return super().from_terms((_fraction(e), _fraction(c)) for e, c in terms)
 
     @staticmethod
     def term(coeff, exponent) -> "SeriesPoly":
-        c = _q(coeff)
-        return SeriesPoly(((_q(exponent), c),) if c != 0 else ())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return SeriesPoly.from_terms(((exponent, coeff),))
 
     @property
     def valuation(self) -> TropScalar:
         """Least exponent; +inf for the zero series."""
         return INF if not self.terms else TropScalar(self.terms[0][0])
-
-    def __add__(self, other: "SeriesPoly") -> "SeriesPoly":
-        return SeriesPoly.from_terms(self.terms + other.terms)
-
-    def __neg__(self) -> "SeriesPoly":
-        return SeriesPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "SeriesPoly") -> "SeriesPoly":
-        return self + (-other)
 
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
         return _sum_of_products(((self, other),))
@@ -128,28 +103,16 @@ def parse_series(text: str) -> SeriesPoly:
 
 
 @dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(_Square):
     """A square matrix of series; products are classical (ring) products."""
 
     rows: tuple[tuple[SeriesPoly, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise SizeMismatchError("matrix is not square")
 
     @staticmethod
     def parse(grid: Iterable[Iterable[str]]) -> "SeriesMatrix":
         return SeriesMatrix(
             tuple(tuple(parse_series(s) for s in row) for row in grid)
         )
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> SeriesPoly:
-        return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_sizes(self, other)

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code", [(("gens", "--n", "2"), 0), (("gens", "--n", "1"), 3)])
+def test_python_m_tropcomm_cli_matches_main(capsys, argv, code):
+    """``python -m tropcomm.cli`` exits with main's code and prints its output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "tropcomm.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
 def test_check_separating_pair_a(pair_file, capsys):

@@ -137,6 +137,18 @@ def test_trop_satisfied_reports():
         evaluate_tropically(SparsePoly.zero(), w0)
 
 
+@pytest.mark.parametrize("length", [0, 7, 9])
+def test_evaluate_tropically_wants_one_weight_per_variable(length):
+    with pytest.raises(ValueError, match=f"{length} weights for 8 variables"):
+        evaluate_tropically(generators(2)[0], (Fraction(0),) * length)
+
+
+@pytest.mark.parametrize("k, l", [(3, 1), (0, 1), (1, 3), (1, 0), (-1, 2)])
+def test_commutator_entry_refuses_an_entry_outside_1_to_n(k, l):
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        commutator_entry(2, k, l)
+
+
 def test_in_ts_on_separating_pairs():
     assert in_ts(P7A_A, P7A_B)
     assert in_ts(P7B_C, P7B_D)

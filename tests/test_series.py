@@ -23,7 +23,8 @@ from tropcomm import (
     val_matrix,
     verify_lift,
 )
-from tropcomm.core import SizeMismatchError, TropScalar
+from tropcomm.core import SizeMismatchError, TropScalar, _fraction
+from tropcomm.polynomials import SparsePoly
 from tropcomm.series import format_series
 
 from helpers import (
@@ -325,3 +326,44 @@ def test_every_commuting_n2_cell_lifts():
             assert verify_lift(found[0], found[1], a, b).ok, cell.pattern
             not_ts += not in_ts(a, b)
     assert not_ts >= 24  # the two cells above lie outside TS
+
+
+# ---------------------------------------------------------------------------
+# the term-sum algebra shared by polynomials and series
+# ---------------------------------------------------------------------------
+
+class _Half(Fraction):
+    """A Fraction subclass; series normalise it to a plain Fraction."""
+
+
+@pytest.mark.parametrize("cls, low, high", [
+    (SparsePoly, (0, 1), (1, 0)),
+    (SeriesPoly, Fraction(-1, 2), Fraction(3)),
+])
+def test_term_sums_share_one_algebra(cls, low, high):
+    f = cls.from_terms([(high, 3), (low, 2), (high, -1), (low, -2)])
+    assert f.terms == ((high, 2),)  # repeated keys summed, the zero sum dropped
+    g = cls.from_terms([(high, 1), (low, 5)])
+    assert g.terms == ((low, 5), (high, 1))  # sorted by key
+    assert cls.zero() == cls(()) and not cls.zero() and f and g
+    assert (f + g).terms == ((low, 5), (high, 3))
+    assert (f - g).terms == ((low, -5), (high, 1))
+    assert (-g).terms == ((low, -5), (high, -1))
+    assert g - g == cls.zero() and f + cls.zero() == f
+    assert {type(p) for p in (cls.zero(), f + g, f - g, -g)} == {cls}
+
+
+def test_sparse_poly_from_terms_accepts_a_mapping():
+    assert SparsePoly.from_terms({(1, 0): 2, (0, 1): -1, (0, 0): 0}).terms == (((0, 1), -1), ((1, 0), 2))
+
+
+@pytest.mark.parametrize("make", [int, lambda k: _Half(k, 2)], ids=["int", "Fraction-subclass"])
+def test_series_hold_only_plain_fractions(make):
+    s = SeriesPoly.from_terms([(make(1), make(2)), (make(0), make(3)), (make(1), make(1))])
+    t = SeriesPoly.term(make(4), make(2))
+    assert s.terms == ((make(0), make(3)), (make(1), make(3)))
+    for p in (s, t, s + t, s - t, -s):
+        assert p.terms and all(type(e) is type(c) is Fraction for e, c in p.terms)
+    q = Fraction(1, 3)
+    assert _fraction(q) is q and type(_fraction(make(1))) is Fraction
+    assert type(TropScalar.of(make(1)).value) is Fraction
