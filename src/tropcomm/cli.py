@@ -2,17 +2,20 @@
 
 Subcommands: check, fan, sample, star, gens, certify, lift, lift-verify, svg.
 Exit codes: 0 ok, 1 negative cycle (star, svg) or lift not verified
-(lift-verify), 2 parse error or an output file that cannot be written,
-3 unsupported input, 4 budget exceeded, 5 sampling exhausted.  All output
-is deterministic given inputs and flags.
+(lift-verify), 2 parse error or an output file or stdout that cannot be
+written, 3 unsupported input, 4 budget exceeded, 5 sampling exhausted,
+141 stdout's reader gone (silently, as after SIGPIPE).  All output is
+deterministic given inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+import traceback
 
 from . import fan as fan_mod
 from .commuting import (
@@ -206,12 +209,6 @@ def cmd_fan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _random_matrix(rng: random.Random, n: int, hi: int) -> TropMatrix:
-    return TropMatrix.of(
-        [[rng.randint(0, hi) for _ in range(n)] for _ in range(n)]
-    )
-
-
 REGIONS = {
     "ts-minus-tpre": lambda cls: cls.ts and not cls.tpre.ok,
     "tpre-minus-ts": lambda cls: cls.tpre.ok and not cls.ts,
@@ -227,8 +224,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     in_region = REGIONS[args.region]
     for draw in range(1, args.max_draws + 1):
-        a = _random_matrix(rng, 3, args.range)
-        b = _random_matrix(rng, 3, args.range)
+        a, b = (TropMatrix.of([[rng.randint(0, args.range) for _ in range(3)] for _ in range(3)]) for _ in "ab")
         cls = classify_pair(a, b, deep=args.deep)
         if in_region(cls):
             print(f"found after {draw} draws (seed {args.seed})")
@@ -294,9 +290,8 @@ def cmd_lift_verify(args: argparse.Namespace) -> int:
     if any(not isinstance(obj[k], list) or not all(isinstance(r, list) for r in obj[k]) for k in "XY"):
         return _fail(EXIT_PARSE, "X and Y must be grids of series strings")
     try:
-        x = SeriesMatrix.parse(obj["X"])
-        y = SeriesMatrix.parse(obj["Y"])
-        a, b = pair_from_json({"n": obj["n"], "A": obj["A"], "B": obj["B"]})
+        x, y = (SeriesMatrix.parse(obj[k]) for k in "XY")
+        a, b = pair_from_json(obj)
         check = verify_lift(x, y, a, b)
     except ValueError as exc:  # parse errors and mixed sizes alike
         return _fail(EXIT_PARSE, str(exc))
@@ -378,10 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  The one place a library refusal becomes an exit
-    code: MatrixFormatError -> 2, NegativeCycleError -> 1, other ValueError -> 3."""
+    code: MatrixFormatError -> 2, NegativeCycleError -> 1, other ValueError -> 3,
+    a failed write to stdout -> 2, or 141, silently, when its reader is gone."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a buffered write fails here, not at exit; print, unlike sys.stdout.flush(),
+        # does nothing when descriptor 1 was closed and sys.stdout is None
+        print(end="", flush=True)
+        return code
+    except OSError as exc:
+        *_, (frame, _) = traceback.walk_tb(exc.__traceback__)
+        if frame.f_globals is not globals():
+            raise  # not a print or flush of this module: say a process pool that cannot start
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot fail again
+        if isinstance(exc, BrokenPipeError):
+            return 141  # what a shell reports after SIGPIPE
+        return _fail(EXIT_PARSE, f"cannot write standard output: {exc.strerror or exc}")
     except MatrixFormatError as exc:
         return _fail(EXIT_PARSE, str(exc))
     except NegativeCycleError as exc:

@@ -177,14 +177,6 @@ def weight_of_pair(a: TropMatrix, b: TropMatrix) -> WeightVector:
 # tropical evaluation
 # ---------------------------------------------------------------------------
 
-def _value(m: Monomial, w: WeightVector) -> Fraction:
-    v = Fraction(0)
-    for i, k in enumerate(m):
-        if k:
-            v += k * w[i]
-    return v
-
-
 @dataclass(frozen=True)
 class TropEvaluation:
     """Term weights of a polynomial at a weight vector."""
@@ -209,7 +201,7 @@ def evaluate_tropically(f: SparsePoly, w: WeightVector) -> TropEvaluation:
         raise ValueError("empty polynomial")
     if len(w) != len(f.terms[0][0]):
         raise ValueError(f"{len(w)} weights for {len(f.terms[0][0])} variables")
-    vals = tuple((m, _value(m, w)) for m, _ in f.terms)
+    vals = tuple((m, sum((k * w[i] for i, k in enumerate(m) if k), Fraction(0))) for m, _ in f.terms)
     mn = min(v for _, v in vals)
     argmin = tuple(m for m, v in vals if v == mn)
     above = [v for _, v in vals if v > mn]

@@ -238,12 +238,7 @@ class TropMatrix(_Square):
 
     @staticmethod
     def identity(n: int) -> "TropMatrix":
-        return TropMatrix(
-            tuple(
-                tuple(ZERO if i == j else INF for j in range(n))
-                for i in range(n)
-            )
-        )
+        return TropMatrix.of([[0 if i == j else None for j in range(n)] for i in range(n)])
 
     def column(self, j: int) -> TropVector:
         return TropVector(tuple(self.rows[i][j] for i in range(self.n)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .core import TropMatrix, TropVector, kleene_star, trop_add
 
@@ -146,8 +147,8 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
     stroke = scale / 200
     radius = scale / 80
 
-    def xy(p: Point) -> str:
-        return f"{_fmt(p[0])},{_fmt(-p[1])}"
+    def xy(points: Iterable[Point]) -> str:
+        return " ".join(f"{_fmt(u)},{_fmt(-v)}" for u, v in points)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -155,23 +156,20 @@ def render_polytrope_svg(matrices: list[TropMatrix]) -> SvgDocument:
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(width)} {_fmt(height)}">',
     ]
     if inter:
-        pts_attr = " ".join(xy(p) for p in inter)
         out.append(
-            f'  <polygon class="intersection" points="{pts_attr}" '
+            f'  <polygon class="intersection" points="{xy(inter)}" '
             f'fill="#bab0ac" fill-opacity="0.6" stroke="none"/>'
         )
     for idx, pts, segs, region in layers:
         color = _PALETTE[idx % len(_PALETTE)]
         out.append(f'  <g class="polytrope-{idx}">')
-        pts_attr = " ".join(xy(p) for p in region)
         out.append(
-            f'    <polygon class="region" points="{pts_attr}" '
+            f'    <polygon class="region" points="{xy(region)}" '
             f'fill="{color}" fill-opacity="0.15" stroke="none"/>'
         )
         for seg in segs:
-            pts_attr = " ".join(xy(p) for p in seg)
             out.append(
-                f'    <polyline class="hull-edge" points="{pts_attr}" '
+                f'    <polyline class="hull-edge" points="{xy(seg)}" '
                 f'fill="none" stroke="{color}" stroke-width="{_fmt(stroke)}"/>'
             )
         for p in pts:

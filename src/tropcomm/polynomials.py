@@ -85,6 +85,15 @@ def _signed_sum(terms: Iterable[tuple[Any, str]]) -> str:
     return " ".join(chunks) or "0"
 
 
+def _collect(terms: Mapping | Iterable[tuple]) -> list[tuple]:
+    """The (key, coefficient) pairs of ``terms``, a mapping or an iterable of
+    pairs, with the coefficients summed per key, zero sums dropped, sorted by key."""
+    acc: dict = {}
+    for k, c in terms.items() if isinstance(terms, Mapping) else terms:
+        acc[k] = acc.get(k, 0) + c
+    return sorted((k, c) for k, c in acc.items() if c != 0)
+
+
 class _TermSum:
     """The algebra of polynomials and series: a frozen dataclass whose one
     field ``terms`` holds (key, coefficient) pairs sorted by key, one per
@@ -92,12 +101,8 @@ class _TermSum:
 
     @classmethod
     def from_terms(cls, terms: Mapping | Iterable[tuple]) -> "_TermSum":
-        """Sum the coefficients per key, drop zero sums and sort by key;
-        ``terms`` is a mapping or an iterable of (key, coefficient)."""
-        acc: dict = {}
-        for k, c in terms.items() if isinstance(terms, Mapping) else terms:
-            acc[k] = acc.get(k, 0) + c
-        return cls(tuple(sorted((k, c) for k, c in acc.items() if c != 0)))
+        """The sum of ``terms``, in the canonical form of :func:`_collect`."""
+        return cls(tuple(_collect(terms)))
 
     @classmethod
     def zero(cls) -> "_TermSum":

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
-    ZERO,
     IntGrid,
     TropMatrix,
     TropScalar,
@@ -224,15 +223,7 @@ def star_image_contains(star: TropMatrix, x: TropVector) -> bool:
 
 def random_premetric(rng: random.Random, n: int) -> TropMatrix:
     """Random premetric: off-diagonal entries k/100, 1 <= k <= 1000."""
-    return TropMatrix(
-        tuple(
-            tuple(
-                ZERO if i == j else TropScalar(Fraction(rng.randint(1, 1000), 100))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-    )
+    return TropMatrix.of([[0 if i == j else Fraction(rng.randint(1, 1000), 100) for j in range(n)] for i in range(n)])
 
 
 def random_polytrope(rng: random.Random, n: int) -> TropMatrix:

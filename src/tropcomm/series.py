@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .commuting import _commutator_sums, _pair_ints
 from .core import INF, SizeMismatchError, TropMatrix, TropScalar, _check_sizes, _fraction, _lcm_scale, _printable, _Square
-from .polynomials import _signed_sum, _TermSum
+from .polynomials import _collect, _signed_sum, _TermSum
 
 __all__ = [
     "SeriesPoly",
@@ -155,7 +155,7 @@ def _sum_of_products(pairs: Iterable[tuple[SeriesPoly, SeriesPoly]]) -> SeriesPo
     out: dict[int, int] = {}
     _add_products(out, zip(polys[::2], polys[1::2]))
     dc *= dc
-    return SeriesPoly(tuple((Fraction(e, de), Fraction(c, dc)) for e, c in sorted(out.items()) if c))
+    return SeriesPoly(tuple((Fraction(e, de), Fraction(c, dc)) for e, c in _collect(out)))
 
 
 def val_matrix(x: SeriesMatrix) -> TropMatrix:
@@ -249,16 +249,9 @@ def lift_2x2(a: TropMatrix, b: TropMatrix) -> tuple[SeriesMatrix, SeriesMatrix]:
     # where diag_i == w_i the entry alpha + u_i never cancels
     u = [[(w[i], -1), (diag[i], 1)] if diag[i] > w[i] else [(w[i], 1)] for i in (0, 1)]
 
-    def plus_alpha(terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        acc = dict(alpha)
-        for e, c in terms:
-            acc[e] = acc.get(e, 0) + c
-        return sorted((e, c) for e, c in acc.items() if c)
-
-    x01, x10 = [(av[0][1], 1)], [(av[1][0], 1)]
-    xs = [[(e - v, c) for e, c in u[0]], x01, x10, [(e - v, c) for e, c in u[1]]]
+    xs = [[(e - v, c) for e, c in u[0]], [(av[0][1], 1)], [(av[1][0], 1)], [(e - v, c) for e, c in u[1]]]
     # Y = alpha*I + t^v * X
-    ys = [plus_alpha(u[0]), [(av[0][1] + v, 1)], [(av[1][0] + v, 1)], plus_alpha(u[1])]
+    ys = [_collect(alpha + u[0]), [(av[0][1] + v, 1)], [(av[1][0] + v, 1)], _collect(alpha + u[1])]
     if _lift_failures(2, xs + ys, targets):
         raise AssertionError("the Tpre2 ansatz failed its own check")
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: goldens, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -36,15 +37,75 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_module(argv, unbuffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m tropcomm.cli *argv`` with this checkout's src on PYTHONPATH,
+    its stdout buffered (the default) or not (PYTHONUNBUFFERED)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "tropcomm.cli", *argv], env=env, timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("argv, code", [(("gens", "--n", "2"), 0), (("gens", "--n", "1"), 3)])
 def test_python_m_tropcomm_cli_matches_main(capsys, argv, code):
     """``python -m tropcomm.cli`` exits with main's code and prints its output."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "tropcomm.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module(argv, capture_output=True, text=True)
     assert proc.returncode == code
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+# buffered, the write fails at main's flush; unbuffered, inside a print
+STDOUT_CASES = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+STDOUT_ARGVS = pytest.mark.parametrize("argv", [("gens", "--n", "2"), ("fan", "commuting:n=2", "--emit-cells")],
+                                       ids=" ".join)
+
+
+@STDOUT_CASES
+@STDOUT_ARGVS
+def test_a_closed_stdout_exits_141_silently(argv, unbuffered):
+    """A reader gone before the first write: exit 141, as a shell reports
+    SIGPIPE, with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(argv, unbuffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@STDOUT_CASES
+@STDOUT_ARGVS
+def test_a_full_stdout_exits_2(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, unbuffered, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no /bin/sh")
+def test_a_closed_stdout_descriptor_is_no_error():
+    """Started with descriptor 1 closed, Python sets sys.stdout to None;
+    print then does nothing, and neither may main's flush."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(["/bin/sh", "-c", 'exec "$0" -m tropcomm.cli gens --n 2 >&-', sys.executable],
+                          env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_pool_that_cannot_start_is_not_a_stdout_error(monkeypatch, capsys):
+    """Only a failed print or flush of the CLI maps to the stdout exit codes."""
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        main(["fan", "commuting:n=2", "--jobs", "2"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_check_separating_pair_a(pair_file, capsys):

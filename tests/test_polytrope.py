@@ -1,5 +1,6 @@
 """Polytrope predicates, commutativity criteria, preimages, image geometry."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -275,3 +276,13 @@ def test_polytropes_project_onto_their_image():
         x = random_vector(rng, a.n)
         px = mat_vec(a, x)
         assert mat_vec(a, px) == px
+
+
+def test_seeded_constructors_are_pinned():
+    """The reprs of seeded random premetrics and polytropes, and of the
+    identities, are pinned: a change in the draws or the entries shows here."""
+    parts = [repr(make(random.Random(seed), n))
+             for seed in range(4) for n in range(2, 6) for make in (random_premetric, random_polytrope)]
+    parts += [repr(TropMatrix.identity(n)) for n in range(1, 6)]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "c2e7011c197f09b0386b1fc47e8377ac11c82969c4909ac82155be08f7ce3844"
