@@ -2,10 +2,11 @@
 
 Subcommands: check, fan, sample, star, gens, certify, lift, lift-verify, svg.
 Exit codes: 0 ok, 1 negative cycle (star, svg) or lift not verified
-(lift-verify), 2 parse error or an output file or stdout that cannot be
-written, 3 unsupported input, 4 budget exceeded, 5 sampling exhausted,
-141 stdout's reader gone (silently, as after SIGPIPE).  All output is
-deterministic given inputs and flags.
+(lift-verify), 2 parse error, an output file or stdout that cannot be
+written, or worker processes that cannot start, 3 unsupported input,
+4 budget exceeded, 5 sampling exhausted, 141 stdout's reader gone
+(silently, as after SIGPIPE).  A refusal whose error line cannot be
+written keeps its code.  All output is deterministic given inputs and flags.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import random
 import sys
-import traceback
 
 from . import fan as fan_mod
 from .commuting import (
@@ -50,18 +50,17 @@ EXIT_BUDGET = 4
 EXIT_EXHAUSTED = 5
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Refusal(Exception):
+    """A command's refusal, raised as _Refusal(code, message): main prints
+    "error: <message>" and exits with code."""
 
 
-def _write(path: str, text: str) -> int:
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}")
-    return EXIT_OK
+        raise _Refusal(EXIT_PARSE, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _entry(ij: tuple[int, int]) -> str:
@@ -91,11 +90,11 @@ _CONDITIONS = {"commutes": "commutes", "star": "star-condition", "square": "squa
                "product": "product-condition"}
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     a, b = pair_from_json(load_json(args.pair))
     n = a.n
     if n not in (2, 3, 4):
-        return _fail(EXIT_UNSUPPORTED, f"n={n} is not supported (use 2, 3 or 4)")
+        raise _Refusal(EXIT_UNSUPPORTED, f"n={n} is not supported (use 2, 3 or 4)")
     lines = [f"n: {n}"]
     if n in (2, 3):
         cls = classify_pair(a, b)
@@ -114,8 +113,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                                for key, label in _CONDITIONS.items()))
         lines.extend(f"witness-values: {_CONDITIONS[key]} {_entry(at)} {_fmt_scalar(lhs)} vs {_fmt_scalar(rhs)}"
                      for key, (at, lhs, rhs) in failed.items())
-    print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 def _generators_from_file(path: str) -> fan_mod.FanConfig:
@@ -145,29 +143,26 @@ def _generators_from_file(path: str) -> fan_mod.FanConfig:
     return fan_mod.FanConfig(name=path, gens=tuple(gens), dim=dim, names=())
 
 
-def cmd_fan(args: argparse.Namespace) -> int:
+def cmd_fan(args: argparse.Namespace) -> tuple[int, str]:
     load = _generators_from_file if args.config.endswith(".json") else fan_mod.named_config
     cfg = load(args.config)
     if args.budget < 1:
-        return _fail(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
+        raise _Refusal(EXIT_PARSE, f"--budget must be >= 1, not {args.budget}")
     if args.jobs < 1:
-        return _fail(EXIT_PARSE, f"--jobs must be >= 1, not {args.jobs}")
+        raise _Refusal(EXIT_PARSE, f"--jobs must be >= 1, not {args.jobs}")
     if args.orbits and not cfg.names:
-        return _fail(EXIT_UNSUPPORTED, "--orbits needs a named configuration, not a generator file")
+        raise _Refusal(EXIT_UNSUPPORTED, "--orbits needs a named configuration, not a generator file")
     lin = fan_mod.lineality_dim(cfg.gens, cfg.dim)
     try:
         cells = fan_mod.enumerate_cells(cfg.gens, cfg.dim, budget=args.budget, jobs=args.jobs)
     except fan_mod.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if cfg.name == "commuting:n=3":
-            print(
-                "reference: full 3x3 prevariety f-vector "
-                f"{list(fan_mod.KNOWN_FVECTOR_PREVARIETY_3_FULL)} and variety f-vector "
-                f"{list(fan_mod.KNOWN_FVECTOR_VARIETY_3)} (external Groebner-fan computations)",
-                file=sys.stderr,
-            )
-        print("rerun with --budget to override", file=sys.stderr)
-        return EXIT_BUDGET
+        reference = ("\nreference: full 3x3 prevariety f-vector "
+                     f"{list(fan_mod.KNOWN_FVECTOR_PREVARIETY_3_FULL)} and variety f-vector "
+                     f"{list(fan_mod.KNOWN_FVECTOR_VARIETY_3)} (external Groebner-fan computations)")
+        raise _Refusal(EXIT_BUDGET, f"{exc}{reference if cfg.name == 'commuting:n=3' else ''}\n"
+                                    "rerun with --budget to override")
+    except OSError as exc:  # a process pool that cannot start: fork or pipe refused
+        raise _Refusal(EXIT_PARSE, f"cannot start worker processes: {exc.strerror or exc}")
     fv = fan_mod.f_vector(cells, lin)
     report: dict = {
         "configuration": cfg.name,
@@ -204,9 +199,9 @@ def cmd_fan(args: argparse.Namespace) -> int:
         ]
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        return _write(args.output, text + "\n")
-    print(text)
-    return EXIT_OK
+        _write(args.output, text + "\n")
+        return EXIT_OK, ""
+    return EXIT_OK, text
 
 
 REGIONS = {
@@ -216,49 +211,45 @@ REGIONS = {
 }
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> tuple[int, str]:
     if args.max_draws < 1:
-        return _fail(EXIT_PARSE, f"--max-draws must be >= 1, not {args.max_draws}")
+        raise _Refusal(EXIT_PARSE, f"--max-draws must be >= 1, not {args.max_draws}")
     if args.range < 0:
-        return _fail(EXIT_PARSE, f"--range must be >= 0, not {args.range}")
+        raise _Refusal(EXIT_PARSE, f"--range must be >= 0, not {args.range}")
     rng = random.Random(args.seed)
     in_region = REGIONS[args.region]
     for draw in range(1, args.max_draws + 1):
         a, b = (TropMatrix.of([[rng.randint(0, args.range) for _ in range(3)] for _ in range(3)]) for _ in "ab")
         cls = classify_pair(a, b, deep=args.deep)
         if in_region(cls):
-            print(f"found after {draw} draws (seed {args.seed})")
-            print(json.dumps(pair_to_json(a, b), sort_keys=True))
-            print(f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, {_tc3(cls, args.deep)}")
-            return EXIT_OK
-    return _fail(EXIT_EXHAUSTED, f"no {args.region} pair in {args.max_draws} draws (seed {args.seed})")
+            return EXIT_OK, (f"found after {draw} draws (seed {args.seed})\n"
+                             f"{json.dumps(pair_to_json(a, b), sort_keys=True)}\n"
+                             f"TS: {'yes' if cls.ts else 'no'}, Tpre: {'yes' if cls.tpre.ok else 'no'}, "
+                             f"{_tc3(cls, args.deep)}")
+    raise _Refusal(EXIT_EXHAUSTED, f"no {args.region} pair in {args.max_draws} draws (seed {args.seed})")
 
 
-def cmd_star(args: argparse.Namespace) -> int:
+def cmd_star(args: argparse.Namespace) -> tuple[int, str]:
     s = kleene_star(matrix_from_json(load_json(args.matrix)))
-    print(json.dumps(matrix_to_json(s), sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(matrix_to_json(s), sort_keys=True)
 
 
-def cmd_gens(args: argparse.Namespace) -> int:
+def cmd_gens(args: argparse.Namespace) -> tuple[int, str]:
     if args.symmetric:
         if args.n not in (None, 3):
-            return _fail(EXIT_UNSUPPORTED, f"--symmetric gives the 3x3 generators, not n={args.n}")
+            raise _Refusal(EXIT_UNSUPPORTED, f"--symmetric gives the 3x3 generators, not n={args.n}")
         names, pairs = symmetric_variables(), _labeled_symmetric_generators()
     else:
         n = 2 if args.n is None else args.n
         names, pairs = matrix_variables(n), labeled_generators(n)
-    for (k, l), g in pairs:
-        print(f"g{k}{l} = {g.render(names)}")
-    return EXIT_OK
+    return EXIT_OK, "\n".join(f"g{k}{l} = {g.render(names)}" for (k, l), g in pairs)
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def cmd_certify(args: argparse.Namespace) -> tuple[int, str]:
     a, b = pair_from_json(load_json(args.pair))
     cert = certify_not_in_tc3(a, b, deep=not args.shallow)
     if cert is None:
-        print(json.dumps({"status": "unknown", "searched": _searched(not args.shallow)}))
-        return EXIT_OK
+        return EXIT_OK, json.dumps({"status": "unknown", "searched": _searched(not args.shallow)})
     names = matrix_variables(3)
     out = {
         "status": "certified-out",
@@ -271,49 +262,41 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "min_value": str(_printable(cert.min_value, "a computed entry")),
         "runner_up_value": str(_printable(cert.runner_up_value, "a computed entry")),
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(out, indent=2, sort_keys=True)
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
+def cmd_lift(args: argparse.Namespace) -> tuple[int, str]:
     a, b = pair_from_json(load_json(args.pair))
     x, y = lift_2x2(a, b)
     out = {"status": "found", "X": x.to_grid(), "Y": y.to_grid(), **pair_to_json(a, b)}
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, json.dumps(out, indent=2, sort_keys=True)
 
 
-def cmd_lift_verify(args: argparse.Namespace) -> int:
+def cmd_lift_verify(args: argparse.Namespace) -> tuple[int, str]:
     obj = load_json(args.lift)
     if not isinstance(obj, dict) or not {"n", "X", "Y", "A", "B"} <= set(obj):
-        return _fail(EXIT_PARSE, 'expected {"n", "X", "Y", "A", "B"}')
+        raise _Refusal(EXIT_PARSE, 'expected {"n", "X", "Y", "A", "B"}')
     if any(not isinstance(obj[k], list) or not all(isinstance(r, list) for r in obj[k]) for k in "XY"):
-        return _fail(EXIT_PARSE, "X and Y must be grids of series strings")
+        raise _Refusal(EXIT_PARSE, "X and Y must be grids of series strings")
     try:
         x, y = (SeriesMatrix.parse(obj[k]) for k in "XY")
         a, b = pair_from_json(obj)
         check = verify_lift(x, y, a, b)
     except ValueError as exc:  # parse errors and mixed sizes alike
-        return _fail(EXIT_PARSE, str(exc))
+        raise _Refusal(EXIT_PARSE, str(exc))
     if check.ok:
-        print("VERIFIED")
-        return EXIT_OK
-    print("NOT VERIFIED")
-    for kind, at in check.failures:
-        print(f"  {kind} fails at {_entry(at)}")
-    return 1
+        return EXIT_OK, "VERIFIED"
+    return 1, "\n".join(["NOT VERIFIED", *(f"  {kind} fails at {_entry(at)}" for kind, at in check.failures)])
 
 
-def cmd_svg(args: argparse.Namespace) -> int:
+def cmd_svg(args: argparse.Namespace) -> tuple[int, str]:
     doc = render_polytrope_svg([matrix_from_json(load_json(p)) for p in args.matrices])
-    if _write(args.output, doc.text):
-        return EXIT_PARSE
-    print(
+    _write(args.output, doc.text)
+    return EXIT_OK, (
         f"wrote {args.output}: {doc.point_count} points, "
         f"regions {list(doc.region_vertex_counts)}"
         + (f", intersection vertices {len(doc.intersection_vertices)}" if doc.intersection_vertices else "")
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,31 +354,43 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error(code: int, message: str) -> int:
+    """main's one error line; one that cannot be written keeps the code.  With
+    descriptor 2 closed at start sys.stderr is None: print would use stdout."""
+    if sys.stderr is not None:
+        try:
+            print(f"error: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())  # the flush at exit cannot fail again
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  The one place a library refusal becomes an exit
-    code: MatrixFormatError -> 2, NegativeCycleError -> 1, other ValueError -> 3,
-    a failed write to stdout -> 2, or 141, silently, when its reader is gone."""
+    """Run one subcommand: the one place that writes its output to stdout and
+    the one place that prints an error line.  A refusal becomes an exit code
+    here: a command's own refusal -> its code, MatrixFormatError -> 2,
+    NegativeCycleError -> 1, other ValueError -> 3, a failed write to stdout
+    -> 2, or 141, silently, when its reader is gone."""
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        # a buffered write fails here, not at exit; print, unlike sys.stdout.flush(),
-        # does nothing when descriptor 1 was closed and sys.stdout is None
-        print(end="", flush=True)
-        return code
-    except OSError as exc:
-        *_, (frame, _) = traceback.walk_tb(exc.__traceback__)
-        if frame.f_globals is not globals():
-            raise  # not a print or flush of this module: say a process pool that cannot start
+        code, text = args.func(args)
+    except _Refusal as exc:
+        return _error(*exc.args)
+    except MatrixFormatError as exc:
+        return _error(EXIT_PARSE, str(exc))
+    except NegativeCycleError as exc:
+        return _error(1, str(exc))
+    except ValueError as exc:
+        return _error(EXIT_UNSUPPORTED, str(exc))
+    try:
+        # flushed here, not at exit; print does nothing when descriptor 1 was closed and sys.stdout is None
+        print(text, end="\n" if text else "", flush=True)
+    except OSError as exc:  # only this print writes stdout
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot fail again
         if isinstance(exc, BrokenPipeError):
             return 141  # what a shell reports after SIGPIPE
-        return _fail(EXIT_PARSE, f"cannot write standard output: {exc.strerror or exc}")
-    except MatrixFormatError as exc:
-        return _fail(EXIT_PARSE, str(exc))
-    except NegativeCycleError as exc:
-        return _fail(1, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
+        return _error(EXIT_PARSE, f"cannot write standard output: {exc.strerror or exc}")
+    return code
 
 
 if __name__ == "__main__":

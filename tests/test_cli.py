@@ -96,16 +96,36 @@ def test_a_closed_stdout_descriptor_is_no_error():
 
 
 def test_a_pool_that_cannot_start_is_not_a_stdout_error(monkeypatch, capsys):
-    """Only a failed print or flush of the CLI maps to the stdout exit codes."""
+    """A process pool that cannot start (fork or pipe refused) exits 2 with its
+    own error line, not the one of a stdout that cannot be written."""
     import multiprocessing
 
     def refuse(*args, **kwargs):
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    with pytest.raises(OSError, match="Resource temporarily unavailable"):
-        main(["fan", "commuting:n=2", "--jobs", "2"])
-    assert capsys.readouterr() == ("", "")
+    assert run(capsys, "fan", "commuting:n=2", "--jobs", "2") == (
+        2, "", f"error: cannot start worker processes: {os.strerror(errno.EAGAIN)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, code", [(("gens", "--n", "1"), 3), (("check", "missing.json"), 2)])
+def test_a_refusal_on_a_full_stderr_keeps_its_code(tmp_path, argv, code):
+    """An error line that cannot be written changes no exit code, neither
+    when it is printed nor when Python flushes stderr at exit."""
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, stdout=subprocess.PIPE, stderr=full, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no /bin/sh")
+def test_a_refusal_with_stderr_closed_keeps_its_code():
+    """Started with descriptor 2 closed, Python sets sys.stderr to None: the
+    error line is dropped, not printed to stdout, and the code is kept."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(["/bin/sh", "-c", 'exec "$0" -m tropcomm.cli gens --n 1 2>&-', sys.executable],
+                          env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, b"")
 
 
 def test_check_separating_pair_a(pair_file, capsys):
@@ -236,10 +256,16 @@ def test_fan_n2(capsys):
 
 
 def test_fan_budget_guard(capsys):
-    code, _, err = run(capsys, "fan", "commuting:n=3")
-    assert code == 4
-    assert "budget" in err
-    assert "1658" in err  # the reference constants are surfaced
+    # the reference constants are surfaced for the full 3x3 configuration only
+    assert run(capsys, "fan", "commuting:n=3") == (4, "", (
+        "error: 45648571288419 candidate argmin patterns exceed the budget of 1000000\n"
+        "reference: full 3x3 prevariety f-vector [1, 146, 2290, 16322, 66193, 162886, 241476, 199030, 71766, "
+        "2397, 58] and variety f-vector [1, 1658, 23755, 143852, 481835, 972387, 1186489, 808218, 235038] "
+        "(external Groebner-fan computations)\n"
+        "rerun with --budget to override\n"))
+    assert run(capsys, "fan", "commuting:n=2", "--budget", "10") == (4, "", (
+        "error: 121 candidate argmin patterns exceed the budget of 10\n"
+        "rerun with --budget to override\n"))
 
 
 @pytest.mark.parametrize("value", ["-5", "0"])
