@@ -217,9 +217,7 @@ def evaluate_tropically(f: SparsePoly, w: WeightVector) -> TropEvaluation:
 # membership tests
 # ---------------------------------------------------------------------------
 
-def in_ts(a: TropMatrix, b: TropMatrix) -> bool:
-    """Tropical commuting set: A@B == B@A (any real matrices)."""
-    return commutes(a, b)
+in_ts = commutes  # the tropical commuting set TS: A@B == B@A, any real matrices
 
 
 @dataclass(frozen=True)
@@ -439,11 +437,8 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> None:
     """row := mul*row - sub*prow in place, with the least mul, sub that
     clear column c; after a step with mul != 1 the content is divided out."""
     p = prow[c]
-    if p == 1:
-        mul, sub = 1, row[c]
-    else:
-        g = gcd(row[c], p)
-        mul, sub = p // g, row[c] // g
+    g = gcd(row[c], p)
+    mul, sub = p // g, row[c] // g
     if mul != 1:
         for k in row:
             row[k] *= mul

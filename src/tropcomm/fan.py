@@ -6,8 +6,9 @@ is the set of weights realizing the pattern; it is carved out by exact
 linear equalities (ties inside each argmin set) and strict inequalities
 (argmin terms beat the rest).  Enumeration walks the product of per-generator
 patterns generator by generator, pruning every prefix whose system is
-already infeasible, and certifies each surviving cell with an interior
-rational witness from the exact LP.
+already infeasible.  Each surviving cell gets an interior rational witness
+(the origin of a linear space, else the cheap guess if interior, else the
+exact LP's point), and each is checked exactly against its argmin pattern.
 """
 
 from __future__ import annotations

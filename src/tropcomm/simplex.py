@@ -180,8 +180,6 @@ def strict_feasibility(pivots: dict[int, Row], stricts: Sequence[Row], dim: int)
     reduced row is zero on the pivot columns, so some column is free.  d
     is the lcm of the pivot leads times the LP vertex's denominator; W
     alone, a positive multiple of w, is a witness too."""
-    if not stricts:
-        return (0,) * dim, 1
     free = [c for c in range(dim) if c not in pivots]
     t, z, den = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
     if t <= 0:
@@ -201,5 +199,5 @@ def lift_witness(z: Sequence[int], pivots: dict[int, Row], free: Sequence[int], 
     for f, zf in zip(free, z):
         w[f] = zf * d
     for c, p in pivots.items():
-        w[c] = -sum(p[f] * zf for f, zf in zip(free, z) if zf) * (d // p[c])
+        w[c] = -sum(p[f] * zf for f, zf in zip(free, z)) * (d // p[c])
     return tuple(w), d

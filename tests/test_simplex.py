@@ -87,3 +87,9 @@ def test_no_free_column_is_decided_by_the_lp(monkeypatch):
     assert simplex.strict_feasibility({0: (1,)}, [(0,)], 1) is None
     assert simplex.strict_feasibility({0: (1, 0), 1: (0, 1)}, [(0, 0)], 2) is None
     assert issued == [([()], 0), ([()], 0)]
+
+
+def test_empty_strict_system_takes_the_lp_path():
+    # no strict rows: the LP gives t = 1 at z = 0, and d is the lcm of the
+    # pivot leads times the vertex denominator, as the docstring says
+    assert simplex.strict_feasibility({0: (2, -1, 0)}, [], 3) == ((0, 0, 0), 2)
