@@ -6,7 +6,13 @@ is the set of weights realizing the pattern; it is carved out by exact
 linear equalities (ties inside each argmin set) and strict inequalities
 (argmin terms beat the rest).  Enumeration walks the product of per-generator
 patterns generator by generator, pruning every prefix whose system is
-already infeasible.  Each surviving cell gets an interior rational witness
+already infeasible.  A prefix node builds its children along the next
+generator's argmin subsets as a prefix trie (subset S below S without its
+last term): each trie edge adds one tie row as a pivot and steps every
+carried strict row once by it.  The strict rows every subset below a trie
+node keeps (the node's own, and those of the terms skipped so far) are
+checked there, and a zero row or an opposite pair among them drops the
+whole subtree.  Each surviving cell gets an interior rational witness
 (the origin of a linear space, else the cheap guess if interior, else the
 exact LP's point), and each is checked exactly against its argmin pattern.
 """
@@ -17,9 +23,9 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from itertools import combinations
+from operator import mul, neg
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .commuting import (
     GroupElement,
@@ -36,7 +42,7 @@ from .polynomials import (
     permute_monomial,
     symmetric_variables,
 )
-from .simplex import Row, Witness, add_pivot, eliminate, lift_witness, primitive, strict_feasibility
+from .simplex import Row, Witness, _fraction_free, add_pivot, eliminate, lift_witness, strict_feasibility
 
 __all__ = [
     "BudgetExceededError",
@@ -151,23 +157,6 @@ def lineality_dim(gens: Sequence[SparsePoly], dim: int) -> int:
     return dim - len(pivots)
 
 
-def _gen_tables(gens: Sequence[SparsePoly]):
-    """Per generator: its terms, its distinct tie and strict rows, and per
-    argmin subset (subset, tie row indices, strict row indices)."""
-    tables = []
-    for g in gens:
-        terms = g.monomials()
-        index: dict[Row, int] = {}
-        entries = []
-        for sub in argmin_subsets(len(terms)):
-            eqs, stricts = _subset_rows(terms, sub)
-            eq_ids = tuple(index.setdefault(primitive(r), len(index)) for r in eqs)
-            strict_ids = tuple(index.setdefault(r, len(index)) for r in stricts)
-            entries.append((sub, eq_ids, strict_ids))
-        tables.append((terms, list(index), entries))
-    return tables
-
-
 def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row], list[Row]]:
     """Equality and strict rows of an argmin pattern (unreduced)."""
     eqs: list[Row] = []
@@ -186,30 +175,119 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 # a prefix node (pivots, stricts): the tie rows reduced by ``add_pivot``, and
 # each strict row once, reduced against them, in insertion order
 Node = tuple[dict[int, Row], dict[Row, None]]
-# a generator's terms as (variable index, exponent) pairs, zero exponents left out
-SparseTerms = tuple[tuple[tuple[int, int], ...], ...]
+# argmin subsets as a prefix trie: per term s above the prefix's last term,
+# (s, prefix + (s,) as the enumerated subset or None when it is only a
+# prefix of one, the trie below it)
+Trie = list[tuple[int, Optional[tuple[int, ...]], "Trie"]]
+# a generator's terms as (variable indices, their exponents), zero exponents left out
+SparseTerms = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _extend(node: Node, eqs: Iterable[Row], new_stricts: Iterable[Row]) -> Optional[Node]:
-    """Add constraints; None when infeasibility is already forced.
+def _subset_trie(subsets: Iterable[tuple[int, ...]], nterms: int) -> list[Trie]:
+    """Per first term, the trie of the given argmin subsets that start with
+    it: subset S hangs below S without its last term.  The subsets are the
+    caller's own tuples, so every cell's pattern shares them."""
+    own = {sub: sub for sub in subsets}
+    below: dict[tuple[int, ...], Trie] = {(s,): [] for s in range(nterms)}
+    # sorted, a prefix comes before its extensions and siblings by last term
+    for prefix in sorted({sub[:k] for sub in own for k in range(2, len(sub) + 1)}):
+        below[prefix] = []
+        below[prefix[:-1]].append((prefix[-1], own.get(prefix), below[prefix]))
+    return [below[(s,)] for s in range(nterms)]
 
-    ``eqs`` and ``new_stricts`` come reduced by ``eliminate`` against
-    this node's pivots, once per node for all its children.  A reduced
-    row is canonical: the primitive positive multiple of row +
-    span(pivots) that vanishes on the pivot columns is unique.  So a row
-    is eliminated again only when it is nonzero on a pivot column this
-    child adds; otherwise it is already the child's reduced row."""
-    pivots = dict(node[0])
-    added = [c for c in (add_pivot(pivots, row) for row in eqs) if c is not None]
-    stricts: dict[Row, None] = {}
-    for r in chain(node[1], new_stricts):
-        if any(r[c] for c in added):
-            r = eliminate(r, pivots)
-        # r < 0 is impossible when r = 0, or when -r < 0 is required too
-        if not any(r) or tuple(-x for x in r) in stricts:
-            return None
-        stricts[r] = None
-    return pivots, stricts
+
+def _keep(kept: dict[Row, None], rows: Iterable[Row]) -> bool:
+    """Add strict rows to ``kept`` in order; False as soon as one is zero or
+    the negation of a row already kept (r < 0 and -r < 0 cannot both hold)."""
+    for r in rows:
+        if not any(r) or tuple(map(neg, r)) in kept:
+            return False
+        kept[r] = None
+    return True
+
+
+def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> Iterator[tuple[tuple[int, ...], Node]]:
+    """The children of a prefix node along the next generator's argmin
+    subsets, one at a time, each as (subset, child node).  A child whose
+    system already forces infeasibility is left out.
+
+    Each first term s0 roots a walk down its subset trie.  ``above`` holds
+    the strict rows terms[s0] - terms[t] reduced against the pivots so far,
+    for the terms t above the prefix's last term.  The edge to S = prefix +
+    (s,) adds the tie terms[last] - terms[s] with ``add_pivot``, as the row
+    of s: the two differ by terms[last] - terms[s0], which is in the pivots'
+    span, so they reduce to the same row.  Every other row is stepped once by
+    the new pivot, only where it is nonzero on its column; a reduced row is
+    canonical (the primitive positive multiple of row + span(pivots) that
+    vanishes on the pivot columns), so each child has exactly the pivots,
+    in ``add_pivot``'s order, and the strict rows, in the order of the
+    parent's rows and then terms t not in S, that adding and eliminating
+    its raw rows from scratch gives.
+
+    The node's strict rows and the rows of the terms below the prefix's
+    last term not in it are kept by every subset below the prefix.  One
+    pivot step keeps a zero row zero and opposite rows opposite, so once
+    those kept rows hold a zero or an opposite pair the whole subtree is
+    dropped."""
+    pivots, stricts = node
+    m = len(terms)
+    diffs: list[list[Row]] = [[()] * m for _ in range(m)]  # diffs[u][u] unused
+    for u, v in combinations(range(m), 2):
+        r = eliminate(tuple(a - b for a, b in zip(terms[u], terms[v])), pivots)
+        diffs[u][v], diffs[v][u] = r, tuple(map(neg, r))
+    for s0, trie in enumerate(tries):
+        if not trie:
+            continue
+        kept = dict(stricts)
+        if not _keep(kept, diffs[s0][:s0]):
+            continue
+        # per open prefix: its pivots, kept rows, the rows of the terms
+        # above its last term, that last term, and the edges left to walk
+        walk = [(pivots, kept, diffs[s0][s0 + 1:], s0, iter(trie))]
+        while walk:
+            prefix_pivots, prefix_kept, above, last, edges = walk[-1]
+            edge = next(edges, None)
+            if edge is None:
+                walk.pop()
+                continue
+            s, subset, below = edge
+            k = s - last - 1  # above[k] is the row of s
+            child_pivots = dict(prefix_pivots)
+            c = add_pivot(child_pivots, above[k])
+            if c is None:  # the tie is already implied
+                child_pivots = prefix_pivots
+                kept = dict(prefix_kept)
+            else:
+                p = child_pivots[c]
+                lead = p[c]
+                above = [_step(r, p, lead, c) for r in above]
+                # rows zero on column c are unchanged, so only a stepped row
+                # can make a zero or an opposite pair among the kept rows
+                kept = {}
+                stepped = []
+                for r in prefix_kept:
+                    if r[c]:
+                        r = _step(r, p, lead, c)
+                        stepped.append(r)
+                    kept[r] = None
+                if not all(any(r) and tuple(map(neg, r)) not in kept for r in stepped):
+                    continue
+            if not _keep(kept, above[:k]):
+                continue
+            above = above[k + 1:]
+            if subset is not None:
+                child_stricts = dict(kept)
+                if _keep(child_stricts, above):
+                    yield subset, (child_pivots, child_stricts)
+            if below:
+                walk.append((child_pivots, kept, above, s, iter(below)))
+
+
+def _step(row: Row, p: Row, lead: int, c: int) -> Row:
+    """A reduced row reduced against one more pivot row p (column c, lead
+    p[c] > 0): the one fraction-free step, only where the row is nonzero
+    on column c."""
+    return tuple(_fraction_free(row, p, lead, row[c])) if row[c] else row
 
 
 def _interior(node: Node, dim: int) -> Optional[Witness]:
@@ -228,59 +306,67 @@ def _interior(node: Node, dim: int) -> Optional[Witness]:
 
 
 def _sparse_terms(terms: Sequence[Monomial]) -> SparseTerms:
-    """Each term as its (variable index, exponent) pairs with exponent > 0."""
-    return tuple(tuple((i, k) for i, k in enumerate(m) if k) for m in terms)
+    """Each term as the indices of its variables with exponent > 0 and
+    those exponents."""
+    out = []
+    for m in terms:
+        idx = tuple(i for i, k in enumerate(m) if k)
+        out.append((idx, tuple(map(m.__getitem__, idx))))
+    return tuple(out)
 
 
 def _verify_cell(gens_terms: Sequence[SparseTerms], pattern: Pattern, w: Sequence[int]) -> None:
     """Exact argmin check of every generator at w, its terms read as
     ``_sparse_terms`` gives them.  The argmins are those of any positive
     multiple of w, so an integer W with w = W/d is checked as it is."""
+    at = w.__getitem__
     for terms, sub in zip(gens_terms, pattern):
-        vals = [sum(k * w[i] for i, k in m) for m in terms]
+        vals = [sum(map(mul, exps, map(at, idx))) for idx, exps in terms]
         mn = min(vals)
         argmin = tuple(t for t, v in enumerate(vals) if v == mn)
         if argmin != sub:
             raise AssertionError(f"witness does not realize pattern {pattern}")
 
 
-def _enumerate_branch(tables, dim: int, firsts: Iterable[int]) -> list[Cell]:
-    """Every cell below the first-level choices ``firsts`` (indices into the
-    first generator's subsets), with its verified witness.  Depth first on a
-    stack of (node, pattern); level = len(pattern).  Each witness value is
-    built once, as one ``Fraction`` that all these cells share."""
-    gens_terms = [_sparse_terms(terms) for terms, _, _ in tables]
+def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts: Iterable[tuple[int, ...]]) -> list[Cell]:
+    """Every cell below the first generator's argmin subsets ``firsts``,
+    with its verified witness.  Depth first on a stack of (children, pattern),
+    one ``_children`` walk per open node; level = len(pattern).  Each
+    witness value is built once, as one ``Fraction`` that all these cells
+    share."""
+    tries = [_subset_trie(firsts, len(gens_terms[0]))]
+    tries += [_subset_trie(argmin_subsets(len(terms)), len(terms)) for terms in gens_terms[1:]]
+    sparse = [_sparse_terms(terms) for terms in gens_terms]
     values: dict[Fraction, Fraction] = {}
     # shared[d][x] is the one Fraction of value x/d
     shared: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)
     out: list[Cell] = []
-    stack: list[tuple[Node, Pattern]] = [(({}, {}), ())]
+    stack: list[tuple[Iterator[tuple[tuple[int, ...], Node]], Pattern]] = [
+        (_children(({}, {}), gens_terms[0], tries[0]), ())
+    ]
     while stack:
-        node, pattern = stack.pop()
-        level = len(pattern)
-        _, rows, entries = tables[level]
-        choices = [entries[i] for i in firsts] if level == 0 else entries
-        # each table row reduced once here, shared by all the children
-        reduced = [eliminate(row, node[0]) for row in rows]
-        for sub, eq_ids, strict_ids in choices:
-            child = _extend(node, [reduced[i] for i in eq_ids], [reduced[i] for i in strict_ids])
-            if child is None:
-                continue
-            found = _interior(child, dim)
-            if found is None:
-                continue
-            child_pattern = pattern + (sub,)
-            if level + 1 < len(tables):
-                stack.append((child, child_pattern))
-            else:
-                w, d = found
-                _verify_cell(gens_terms, child_pattern, w)
-                by_x = shared[d]
-                for x in w:
-                    if x not in by_x:
-                        value = Fraction(x, d)
-                        by_x[x] = values.setdefault(value, value)
-                out.append(Cell(child_pattern, dim - len(child[0]), tuple(map(by_x.__getitem__, w))))
+        children, pattern = stack[-1]
+        step = next(children, None)
+        if step is None:
+            stack.pop()
+            continue
+        subset, child = step
+        found = _interior(child, dim)
+        if found is None:
+            continue
+        child_pattern = pattern + (subset,)
+        level = len(child_pattern)
+        if level < len(gens_terms):
+            stack.append((_children(child, gens_terms[level], tries[level]), child_pattern))
+        else:
+            w, d = found
+            _verify_cell(sparse, child_pattern, w)
+            by_x = shared[d]
+            for x in w:
+                if x not in by_x:
+                    value = Fraction(x, d)
+                    by_x[x] = values.setdefault(value, value)
+            out.append(Cell(child_pattern, dim - len(child[0]), tuple(map(by_x.__getitem__, w))))
     return out
 
 
@@ -306,16 +392,16 @@ def enumerate_cells(
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    tables = _gen_tables(gens)
-    nfirst = len(tables[0][2])
-    if jobs > 1 and total > 4 * nfirst:
+    gens_terms = [g.monomials() for g in gens]
+    firsts = argmin_subsets(len(gens_terms[0]))
+    if jobs > 1 and total > 4 * len(firsts):
         import multiprocessing  # imported only when a pool starts: it costs memory
 
-        tasks = [(tables, dim, (i,)) for i in range(nfirst)]
-        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, nfirst)) as pool:
+        tasks = [(gens_terms, dim, (sub,)) for sub in firsts]
+        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, len(firsts))) as pool:
             cells = [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
     else:
-        cells = _enumerate_branch(tables, dim, range(nfirst))
+        cells = _enumerate_branch(gens_terms, dim, firsts)
     cells.sort(key=lambda c: c.pattern)
     return cells
 

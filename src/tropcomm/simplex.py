@@ -28,6 +28,7 @@ a witness too (a positive multiple of one).
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 __all__ = [
@@ -181,7 +182,7 @@ def strict_feasibility(pivots: dict[int, Row], stricts: Sequence[Row], dim: int)
     is the lcm of the pivot leads times the LP vertex's denominator; W
     alone, a positive multiple of w, is a witness too."""
     free = [c for c in range(dim) if c not in pivots]
-    t, z, den = _simplex_max_t([tuple(r[f] for f in free) for r in stricts], len(free))
+    t, z, den = _simplex_max_t([tuple(map(r.__getitem__, free)) for r in stricts], len(free))
     if t <= 0:
         return None
     w, lead = lift_witness(z, pivots, free, dim)
@@ -199,5 +200,5 @@ def lift_witness(z: Sequence[int], pivots: dict[int, Row], free: Sequence[int], 
     for f, zf in zip(free, z):
         w[f] = zf * d
     for c, p in pivots.items():
-        w[c] = -sum(p[f] * zf for f, zf in zip(free, z)) * (d // p[c])
+        w[c] = -sum(map(mul, map(p.__getitem__, free), z)) * (d // p[c])
     return tuple(w), d

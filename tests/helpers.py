@@ -12,7 +12,6 @@ from math import gcd, inf
 from tropcomm import TropMatrix, TropVector, commutator_entry, generators, weight_of_pair
 from tropcomm.commuting import _code, _decode, _exponents, _support, _term_values, _unique_min
 from tropcomm.core import INF, NegativeCycleError, SizeMismatchError, TropScalar, ZERO, _lcm_scale
-from tropcomm.fan import _extend
 from tropcomm.polynomials import Monomial, SparsePoly, matrix_variables, monomial
 from tropcomm.polytrope import (
     CommutClassification,
@@ -557,15 +556,87 @@ def tpre2_point(rng: random.Random, ties: tuple[int, ...]) -> tuple[TropMatrix, 
     return M([[w1 - v, a12], [a21, w2 - v]]), M([[b11, b12], [a21 + v, b22]])
 
 
+def extend_node(node, eqs, stricts):
+    """A prefix node (pivots, strict rows) extended from scratch, the oracle
+    for the enumerator's child builder: the tie rows ``eqs`` added with
+    ``add_pivot`` in order, then the node's strict rows and ``stricts``, each
+    reduced by ``eliminate`` against all the pivots, kept once in order.
+    None when a reduced strict row is zero or the negation of another (the
+    system is then already infeasible)."""
+    pivots = dict(node[0])
+    for row in eqs:
+        add_pivot(pivots, row)
+    reduced = dict.fromkeys(eliminate(row, pivots) for row in (*node[1], *stricts))
+    if any(not any(r) or tuple(-x for x in r) in reduced for r in reduced):
+        return None
+    return pivots, reduced
+
+
 def raw_strict_feasibility(eqs, stricts, dim: int):
     """``strict_feasibility`` on an unreduced system {eqs . w = 0, stricts . w < 0}:
-    reduced as the fan enumerator reduces a prefix (None when the reduction
-    already forces infeasibility).  Returns the witness w = W/d as (W, d)."""
-    node = _extend(({}, {}), eqs, [eliminate(row, {}) for row in stricts])
+    reduced as ``extend_node`` reduces it (None when the reduction already
+    forces infeasibility).  Returns the witness w = W/d as (W, d)."""
+    node = extend_node(({}, {}), eqs, stricts)
     if node is None:
         return None
     pivots, reduced = node
     return strict_feasibility(pivots, list(reduced), dim)
+
+
+def oracle_witness(node, dim: int):
+    """The enumerator's documented witness of a node's system as (W, d), or
+    None: the origin when it has no strict row, else the negated sum of the
+    strict rows when that point is interior, else the exact LP's point."""
+    pivots, stricts = node
+    rows = list(stricts)
+    if not rows:
+        return (0,) * dim, 1
+    guess = [-sum(col) for col in zip(*rows)]
+    if all(sum(a * x for a, x in zip(r, guess)) < 0 for r in rows):
+        free = [c for c in range(dim) if c not in pivots]
+        return lift_witness([guess[f] for f in free], pivots, free, dim)
+    return strict_feasibility(pivots, rows, dim)
+
+
+def reference_cells(gens, dim: int) -> list:
+    """Every cell of the prevariety of ``gens`` as (pattern, dim, witness),
+    sorted by pattern, each candidate built from scratch: depth first over
+    the generators' argmin subsets, every prefix's node rebuilt by
+    ``extend_node`` from its raw rows (``cell_system``), and a prefix dropped
+    when it has no interior point."""
+    from tropcomm.fan import argmin_subsets, cell_system
+
+    subsets = [argmin_subsets(len(g)) for g in gens]
+    out = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        for sub in subsets[len(prefix)]:
+            pattern = prefix + (sub,)
+            node = extend_node(({}, {}), *cell_system(gens, pattern))
+            found = None if node is None else oracle_witness(node, dim)
+            if found is None:
+                continue
+            if len(pattern) < len(gens):
+                stack.append(pattern)
+            else:
+                w, d = found
+                out.append((pattern, dim - len(node[0]), tuple(Fraction(x, d) for x in w)))
+    return sorted(out)
+
+
+def random_generator_system(rng: random.Random) -> tuple[list[SparsePoly], int]:
+    """1-3 generators of 2-5 distinct terms in 2-6 variables, exponents 0-2,
+    nonzero coefficients: a seeded random input for the fan enumerator."""
+    dim = rng.randint(2, 6)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms: dict = {}
+        size = rng.randint(2, 5)
+        while len(terms) < size:
+            terms[tuple(rng.randint(0, 2) for _ in range(dim))] = rng.choice((-2, -1, 1, 2))
+        gens.append(SparsePoly.from_terms(terms.items()))
+    return gens, dim
 
 
 def null_space_basis(rows, dim: int) -> list[tuple[int, ...]]:

@@ -37,7 +37,13 @@ from tropcomm.commuting import labeled_generators
 from tropcomm.polynomials import SparsePoly
 from tropcomm.simplex import add_pivot, eliminate
 
-from helpers import fraction_simplex_max_t, raw_strict_feasibility
+from helpers import (
+    extend_node,
+    fraction_simplex_max_t,
+    random_generator_system,
+    raw_strict_feasibility,
+    reference_cells,
+)
 
 
 @pytest.mark.parametrize("name", ["commuting:n=\u0662", "commuting:n= 2", "commuting:n=0_2", "commuting:n=-2"])
@@ -335,43 +341,55 @@ def test_strict_feasibility_accepts_cells():
             assert all(sum(a * x for a, x in zip(row, w)) < 0 for row in stricts)
 
 
+def _trie_subsets(tries):
+    """Every subset in a list of argmin-subset tries."""
+    out, stack = [], list(tries)
+    while stack:
+        for _, subset, below in stack.pop():
+            if subset is not None:
+                out.append(subset)
+            stack.append(below)
+    return out
+
+
+def _record_walk(monkeypatch, gens, dim):
+    """``enumerate_cells(gens, dim)`` with ``fan._children`` wrapped.  Returns
+    every child it yielded as (node, pattern), and per call (the parent's
+    pattern, the subsets of its tries, the subsets it yielded)."""
+    real = fan._children
+    children = []  # every child, kept alive so that no id is reused
+    walks = []
+    patterns: dict = {}  # id(node) -> pattern; the root's is ()
+
+    def record(node, terms, tries):
+        pattern = patterns.get(id(node), ())
+        yielded = []
+        for subset, child in real(node, terms, tries):
+            yielded.append(subset)
+            patterns[id(child)] = pattern + (subset,)
+            children.append((child, pattern + (subset,)))
+            yield subset, child
+        walks.append((pattern, _trie_subsets(tries), yielded))
+
+    with monkeypatch.context() as m:
+        m.setattr(fan, "_children", record)
+        cells = enumerate_cells(gens, dim)
+    return cells, children, walks
+
+
 def test_prefix_systems_are_already_reduced(monkeypatch):
-    """What ``strict_feasibility`` and ``_extend`` rely on: at every
+    """What ``strict_feasibility`` and the child builder rely on: at every
     prefix node, adding the pivot rows again rebuilds the same pivots, and
     each stored strict row is unchanged by elimination against them.  The
-    rows reduced once per node and shared by its children, and eliminated
-    again only where a child adds a pivot, are the raw table rows reduced
-    against the child's pivots: the same pivots and strict rows, in the
-    same order, as adding and eliminating the raw rows from scratch."""
-    real = fan._extend
+    rows stepped once by each pivot a trie edge adds are the raw rows
+    reduced against the child's pivots: the same pivots and strict rows, in
+    the same order, as adding and eliminating the raw rows from scratch."""
     nodes = []
     for gens, dim in _fan_systems():
-        tables = fan._gen_tables(gens)
-        parents = []  # every node extended, kept alive so no id is reused
-        raw: dict = {}  # id(pivots) -> (depth, raw tie rows, raw strict rows)
-        calls: dict = {}  # id(pivots) -> extend calls so far: the choice index
-
-        def record(node, eqs, stricts):
-            parents.append(node)
-            key = id(node[0])
-            depth, raw_eqs, raw_stricts = raw.setdefault(key, (0, (), ()))
-            _, rows, entries = tables[depth]
-            k = calls.get(key, 0)
-            calls[key] = k + 1
-            _, eq_ids, strict_ids = entries[k]
-            child = real(node, eqs, stricts)
-            if child is not None:
-                raw_eqs += tuple(rows[i] for i in eq_ids)
-                raw_stricts += tuple(rows[i] for i in strict_ids)
-                raw[id(child[0])] = (depth + 1, raw_eqs, raw_stricts)
-                nodes.append((child, raw_eqs, raw_stricts))
-            return child
-
-        monkeypatch.setattr(fan, "_extend", record)
-        enumerate_cells(gens, dim)
-        monkeypatch.undo()
+        nodes += [(child, gens, pattern) for child, pattern in _record_walk(monkeypatch, gens, dim)[1]]
     assert len(nodes) > 2000
-    for (pivots, stricts), raw_eqs, raw_stricts in nodes:
+    for (pivots, stricts), gens, pattern in nodes:
+        raw_eqs, raw_stricts = cell_system(gens, pattern)
         rebuilt: dict = {}
         for row in pivots.values():
             add_pivot(rebuilt, row)
@@ -382,6 +400,37 @@ def test_prefix_systems_are_already_reduced(monkeypatch):
             add_pivot(from_raw, row)
         assert list(from_raw.items()) == list(pivots.items())
         assert list(stricts) == list(dict.fromkeys(eliminate(row, pivots) for row in raw_stricts))
+
+
+def test_walk_matches_a_from_scratch_reference_on_random_systems(monkeypatch):
+    """On 500 seeded random generator systems the cells and witnesses equal
+    those of a reference that builds every candidate from its raw rows with
+    the ``extend_node`` oracle; every subset the walk leaves out, whether
+    its own rows or a dropped subtree's kept rows rule it out, is one the
+    oracle rejects too."""
+    skipped = 0
+    for seed in range(500):
+        gens, dim = random_generator_system(random.Random(seed))
+        cells, _, walks = _record_walk(monkeypatch, gens, dim)
+        assert [(c.pattern, c.dim, c.witness) for c in cells] == reference_cells(gens, dim), seed
+        for pattern, subsets, yielded in walks:
+            for sub in set(subsets) - set(yielded):
+                assert extend_node(({}, {}), *cell_system(gens, pattern + (sub,))) is None, (seed, pattern, sub)
+                skipped += 1
+    assert skipped > 1000
+
+
+def test_dead_subtrees_are_dropped_whole(monkeypatch):
+    """Once the rows every extension keeps are contradictory the walk adds
+    no pivot below that prefix: on the g23/g13 pair it adds fewer pivots
+    than its trie edges, one per edge it walks."""
+    g12, g13, g23 = symmetric_generators()
+    calls = []
+    real = fan.add_pivot
+    monkeypatch.setattr(fan, "add_pivot", lambda pivots, row: calls.append(1) or real(pivots, row))
+    _, _, walks = _record_walk(monkeypatch, [g23, g13], 12)
+    edges = sum(len(subsets) for _, subsets, _ in walks)
+    assert len(calls) < edges
 
 
 # per system of _fan_systems(), the sha256 of repr([(c.pattern, c.dim,
