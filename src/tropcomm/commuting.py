@@ -58,6 +58,7 @@ __all__ = [
 
 WeightVector = tuple[Fraction, ...]
 # per term of a polynomial, its variable indices, each once per unit of exponent
+# (not fan's (indices, exponents): 62.5 vs 109 us a witness-family sweep; fan's exponents reach 10^6)
 Support = tuple[tuple[int, ...], ...]
 L = TypeVar("L")  # the label of a polynomial
 

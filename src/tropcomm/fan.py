@@ -145,15 +145,21 @@ def _subset_rows(terms: Sequence[Monomial], sub: Sequence[int]) -> tuple[list[Ro
     return eqs, stricts
 
 
+def _generator_terms(gens: Sequence[SparsePoly], dim: int) -> list[tuple[Monomial, ...]]:
+    """The terms of each nonempty generator; ValueError unless each has ``dim`` exponents."""
+    if bad := {len(m) for g in gens for m, _ in g} - {dim}:
+        raise ValueError(f"exponent vectors of length {min(bad)}, not dim = {dim}")
+    return [g.monomials() for g in gens if g]
+
+
 def lineality_dim(gens: Sequence[SparsePoly], dim: int) -> int:
     """Dimension of the all-ties subspace (every generator's terms tied):
-    ``dim`` minus the rank of the all-ties pattern's tie rows."""
+    ``dim`` minus the rank of the all-ties pattern's tie rows.  Raises
+    ValueError unless each term has ``dim`` exponents."""
     pivots: dict[int, Row] = {}
-    for g in gens:
-        terms = g.monomials()
-        if terms:  # an empty generator ties nothing
-            for row in _subset_rows(terms, range(len(terms)))[0]:
-                add_pivot(pivots, row)
+    for terms in _generator_terms(gens, dim):  # an empty generator ties nothing
+        for row in _subset_rows(terms, range(len(terms)))[0]:
+            add_pivot(pivots, row)
     return dim - len(pivots)
 
 
@@ -378,21 +384,22 @@ def enumerate_cells(
 ) -> list[Cell]:
     """All feasible argmin-pattern cells, sorted by pattern.
 
-    Raises :class:`BudgetExceededError` when the candidate product exceeds
-    ``budget``.  ``jobs`` > 1 distributes the first-level branches over a
-    process pool of min(jobs, CPU count, branches) workers when the candidate
-    product exceeds four times the first generator's subsets, and runs
-    serially otherwise; the result is identical and deterministically ordered.
-    The walk builds the cells themselves; here they are only sorted.
+    Raises ValueError unless each term has ``dim`` exponents, and
+    :class:`BudgetExceededError` when the candidate product exceeds ``budget``.
+    ``jobs`` > 1 distributes the first-level branches over a process pool of
+    min(jobs, CPU count, branches) workers when the candidate product exceeds
+    four times the first generator's subsets, and runs serially otherwise; the
+    result is identical and deterministically ordered.  The walk builds the
+    cells themselves; here they are only sorted.
     """
     gens = [g for g in gens if g]
+    gens_terms = _generator_terms(gens, dim)
     if not gens:
         return [Cell(pattern=(), dim=dim, witness=(Fraction(0),) * dim)]
     total = candidate_count(gens)
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    gens_terms = [g.monomials() for g in gens]
     firsts = argmin_subsets(len(gens_terms[0]))
     if jobs > 1 and total > 4 * len(firsts):
         import multiprocessing  # imported only when a pool starts: it costs memory

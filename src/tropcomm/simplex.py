@@ -32,7 +32,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 __all__ = [
-    "primitive",
     "eliminate",
     "add_pivot",
     "lift_witness",
@@ -43,19 +42,14 @@ Row = tuple[int, ...]
 Witness = tuple[Row, int]  # (W, d): the rational point W/d, d > 0
 
 
-def primitive(row: Sequence[int]) -> Row:
-    """Divide an integer row by the gcd of its entries (0 row unchanged)."""
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
 def eliminate(row: Sequence[int], pivots: dict[int, Row]) -> Row:
     """Reduce an integer row against pivot rows as ``add_pivot`` builds them
     (exact, fraction-free): the primitive positive multiple of row +
     span(pivots) that vanishes on the pivot columns.  Each pivot row is
     zero on the other pivot columns, so that row is unique and the pivots
     may be read in any order."""
-    r = primitive(row)
+    g = gcd(*row)
+    r = tuple(x // g for x in row) if g > 1 else row
     for c, p in pivots.items():
         if r[c]:
             r = _fraction_free(r, p, p[c], r[c])

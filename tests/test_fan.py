@@ -69,6 +69,23 @@ def test_lineality_dimensions():
     assert not cancelled and lineality_dim([cancelled, tie_line], 2) == 1
 
 
+@pytest.mark.parametrize("dim", [4, 10])
+def test_exponent_vectors_must_have_the_dimension(dim):
+    """A generator whose exponent vectors are not ``dim`` long, or generators
+    that disagree, raise ValueError naming both lengths, not an IndexError
+    or a wrong lineality."""
+    gens = generators(2)  # 8 variables
+    for fn in (enumerate_cells, lineality_dim):
+        with pytest.raises(ValueError, match=f"length 8, not dim = {dim}$"):
+            fn(gens, dim)
+    line = SparsePoly.from_terms({(1, 0): 1, (0, 1): -1})
+    plane = SparsePoly.from_terms({(1, 0, 0): 1, (0, 0, 1): -1})
+    for fn in (enumerate_cells, lineality_dim):
+        with pytest.raises(ValueError, match="length 3, not dim = 2$"):
+            fn([line, SparsePoly.from_terms({}), plane], 2)
+    assert lineality_dim(gens, 8) == 4
+
+
 def test_relative_interior_feasibility():
     gens = generators(2)
     # the all-ties pattern is the homogeneity space: feasible

@@ -162,6 +162,29 @@ def test_polytrope_rejections_match_scalar_loops():
             assert outcome(classify_polytrope_pair, *pair) == outcome(scalar_classify_polytrope_pair, *pair)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_is_polytrope_matches_the_triangle_inequality(n):
+    """is_polytrope, on ints, against the TropScalar oracle of every triangle
+    a[i][k] + a[k][j] >= a[i][j].  Entries from a small range (halves
+    included) make exact ties a[i][k] + a[k][j] = a[i][j] frequent."""
+    rng = random.Random(950 + n)
+    verdicts, ties = Counter(), 0
+    for _ in range(300):
+        a = TropMatrix.of(
+            [[0 if i == j else Fraction(rng.randint(1, 8), 2) for j in range(n)] for i in range(n)]
+        )
+        verdict = is_polytrope(a)
+        assert verdict == scalar_is_polytrope(a)
+        verdicts[verdict] += 1
+        r = a.rows
+        ties += verdict and any(
+            r[i][k] + r[k][j] == r[i][j] for i in range(n) for j in range(n) for k in range(n) if k not in (i, j)
+        )
+    assert verdicts[True] > 0
+    if n > 2:
+        assert verdicts[False] > 0 and ties > 0
+
+
 def test_polytrope_exception_order():
     p2, p3 = random_polytrope(random.Random(1), 2), random_polytrope(random.Random(2), 3)
     not_p3 = TropMatrix.of([[0, 1, 5], [1, 0, 1], [1, 1, 0]])  # 1 + 1 < 5
