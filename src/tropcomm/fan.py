@@ -15,6 +15,8 @@ checked there, and a zero row or an opposite pair among them drops the
 whole subtree.  Each surviving cell gets an interior rational witness
 (the origin of a linear space, else the cheap guess if interior, else the
 exact LP's point), and each is checked exactly against its argmin pattern.
+The depth-first walk meets the patterns in sorted order, so no sort
+follows; a process pool gets one task per first-level child.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from operator import mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -129,11 +132,8 @@ def argmin_subsets(nterms: int) -> list[tuple[int, ...]]:
 
 
 def candidate_count(gens: Sequence[SparsePoly]) -> int:
-    total = 1
-    for g in gens:
-        m = len(g)
-        total *= 2 ** m - m - 1
-    return total
+    """Product of 2^m - m - 1 over the generators of m > 0 terms (an empty one ties nothing)."""
+    return prod(2 ** m - m - 1 for m in map(len, gens) if m)
 
 
 def _subset_rows(terms: Sequence[Monomial], sub: Sequence[int]) -> tuple[list[Row], list[Row]]:
@@ -181,25 +181,25 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 # a prefix node (pivots, stricts): the tie rows reduced by ``add_pivot``, and
 # each strict row once, reduced against them, in insertion order
 Node = tuple[dict[int, Row], dict[Row, None]]
+# a child of a prefix node: the next generator's argmin subset and its node
+Child = tuple[tuple[int, ...], Node]
 # argmin subsets as a prefix trie: per term s above the prefix's last term,
-# (s, prefix + (s,) as the enumerated subset or None when it is only a
-# prefix of one, the trie below it)
-Trie = list[tuple[int, Optional[tuple[int, ...]], "Trie"]]
+# (s, the subset prefix + (s,), the trie below it)
+Trie = list[tuple[int, tuple[int, ...], "Trie"]]
 # a generator's terms as (variable indices, their exponents), zero exponents left out
 SparseTerms = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _subset_trie(subsets: Iterable[tuple[int, ...]], nterms: int) -> list[Trie]:
-    """Per first term, the trie of the given argmin subsets that start with
-    it: subset S hangs below S without its last term.  The subsets are the
-    caller's own tuples, so every cell's pattern shares them."""
-    own = {sub: sub for sub in subsets}
-    below: dict[tuple[int, ...], Trie] = {(s,): [] for s in range(nterms)}
-    # sorted, a prefix comes before its extensions and siblings by last term
-    for prefix in sorted({sub[:k] for sub in own for k in range(2, len(sub) + 1)}):
-        below[prefix] = []
-        below[prefix[:-1]].append((prefix[-1], own.get(prefix), below[prefix]))
-    return [below[(s,)] for s in range(nterms)]
+def _subset_trie(nterms: int) -> list[Trie]:
+    """Per term but the last, the trie of the argmin subsets that start
+    with it: subset S hangs below S without its last term.  The subsets are
+    ``argmin_subsets``' tuples, so every cell's pattern shares them."""
+    below: dict[tuple[int, ...], Trie] = {(s,): [] for s in range(nterms - 1)}
+    # sorted, a subset comes before its extensions and siblings by last term
+    for sub in sorted(argmin_subsets(nterms)):
+        below[sub] = []
+        below[sub[:-1]].append((sub[-1], sub, below[sub]))
+    return [below[(s,)] for s in range(nterms - 1)]
 
 
 def _keep(kept: dict[Row, None], rows: Iterable[Row]) -> bool:
@@ -212,7 +212,7 @@ def _keep(kept: dict[Row, None], rows: Iterable[Row]) -> bool:
     return True
 
 
-def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> Iterator[tuple[tuple[int, ...], Node]]:
+def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> Iterator[Child]:
     """The children of a prefix node along the next generator's argmin
     subsets, one at a time, each as (subset, child node).  A child whose
     system already forces infeasibility is left out.
@@ -242,8 +242,6 @@ def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> I
         r = eliminate(tuple(a - b for a, b in zip(terms[u], terms[v])), pivots)
         diffs[u][v], diffs[v][u] = r, tuple(map(neg, r))
     for s0, trie in enumerate(tries):
-        if not trie:
-            continue
         kept = dict(stricts)
         if not _keep(kept, diffs[s0][:s0]):
             continue
@@ -281,10 +279,9 @@ def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> I
             if not _keep(kept, above[:k]):
                 continue
             above = above[k + 1:]
-            if subset is not None:
-                child_stricts = dict(kept)
-                if _keep(child_stricts, above):
-                    yield subset, (child_pivots, child_stricts)
+            child_stricts = dict(kept)
+            if _keep(child_stricts, above):
+                yield subset, (child_pivots, child_stricts)
             if below:
                 walk.append((child_pivots, kept, above, s, iter(below)))
 
@@ -334,22 +331,19 @@ def _verify_cell(gens_terms: Sequence[SparseTerms], pattern: Pattern, w: Sequenc
             raise AssertionError(f"witness does not realize pattern {pattern}")
 
 
-def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts: Iterable[tuple[int, ...]]) -> list[Cell]:
-    """Every cell below the first generator's argmin subsets ``firsts``,
-    with its verified witness.  Depth first on a stack of (children, pattern),
-    one ``_children`` walk per open node; level = len(pattern).  Each
-    witness value is built once, as one ``Fraction`` that all these cells
-    share."""
-    tries = [_subset_trie(firsts, len(gens_terms[0]))]
-    tries += [_subset_trie(argmin_subsets(len(terms)), len(terms)) for terms in gens_terms[1:]]
+def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts: Iterable[Child]) -> list[Cell]:
+    """Every cell below the first generator's children ``firsts``, given as
+    (subset, node), with its verified witness, in pattern order when
+    ``firsts`` is.  Depth first on a stack of (children, pattern), one
+    ``_children`` walk per open node; level = len(pattern).  Each witness
+    value is built once, as one ``Fraction`` that all these cells share."""
+    tries = [_subset_trie(len(terms)) for terms in gens_terms[1:]]  # generator k's is tries[k - 1]
     sparse = [_sparse_terms(terms) for terms in gens_terms]
     values: dict[Fraction, Fraction] = {}
     # shared[d][x] is the one Fraction of value x/d
     shared: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)
     out: list[Cell] = []
-    stack: list[tuple[Iterator[tuple[tuple[int, ...], Node]], Pattern]] = [
-        (_children(({}, {}), gens_terms[0], tries[0]), ())
-    ]
+    stack: list[tuple[Iterator[Child], Pattern]] = [(iter(firsts), ())]
     while stack:
         children, pattern = stack[-1]
         step = next(children, None)
@@ -363,7 +357,7 @@ def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts
         child_pattern = pattern + (subset,)
         level = len(child_pattern)
         if level < len(gens_terms):
-            stack.append((_children(child, gens_terms[level], tries[level]), child_pattern))
+            stack.append((_children(child, gens_terms[level], tries[level - 1]), child_pattern))
         else:
             w, d = found
             _verify_cell(sparse, child_pattern, w)
@@ -386,11 +380,12 @@ def enumerate_cells(
 
     Raises ValueError unless each term has ``dim`` exponents, and
     :class:`BudgetExceededError` when the candidate product exceeds ``budget``.
-    ``jobs`` > 1 distributes the first-level branches over a process pool of
-    min(jobs, CPU count, branches) workers when the candidate product exceeds
-    four times the first generator's subsets, and runs serially otherwise; the
-    result is identical and deterministically ordered.  The walk builds the
-    cells themselves; here they are only sorted.
+    The depth-first walk emits the patterns in sorted order, so no sort
+    follows.  ``jobs`` > 1 hands the first generator's children that survive
+    the root walk, one per task, to a pool of min(jobs, CPU count, children)
+    processes when the candidate product exceeds four times the first
+    generator's subsets, and runs serially otherwise; the tasks' cells are
+    concatenated in walk order, so the result is identical.
     """
     gens = [g for g in gens if g]
     gens_terms = _generator_terms(gens, dim)
@@ -400,17 +395,14 @@ def enumerate_cells(
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    firsts = argmin_subsets(len(gens_terms[0]))
-    if jobs > 1 and total > 4 * len(firsts):
+    firsts = _children(({}, {}), gens_terms[0], _subset_trie(len(gens_terms[0])))
+    if jobs > 1 and total > 4 * candidate_count(gens[:1]):
         import multiprocessing  # imported only when a pool starts: it costs memory
 
-        tasks = [(gens_terms, dim, (sub,)) for sub in firsts]
-        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, len(firsts))) as pool:
-            cells = [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
-    else:
-        cells = _enumerate_branch(gens_terms, dim, firsts)
-    cells.sort(key=lambda c: c.pattern)
-    return cells
+        tasks = [(gens_terms, dim, (first,)) for first in firsts]
+        with multiprocessing.Pool(processes=min(jobs, os.cpu_count() or 1, len(tasks))) as pool:
+            return [cell for chunk in pool.starmap(_enumerate_branch, tasks) for cell in chunk]
+    return _enumerate_branch(gens_terms, dim, firsts)
 
 
 def f_vector(cells: Sequence[Cell], lineality_dim: int) -> FVector:

@@ -145,6 +145,29 @@ def test_enumerate_n2():
     assert max(c.dim for c in cells) == 6
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """``multiprocessing.Pool`` run in process; the list of the pool sizes
+    asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
 def _fan_systems():
     g12, g13, g23 = symmetric_generators()
     cfg = named_config("commuting:n=2")
@@ -153,9 +176,9 @@ def _fan_systems():
 
 @pytest.mark.parametrize("gens, dim", _fan_systems(), ids=["commuting:n=2", "g23,g13"])
 def test_enumerate_n2_is_parallel_deterministic(gens, dim):
-    """commuting:n=2 has one first-level branch and runs serially at any
-    ``jobs``; the g23/g13 pair has 57, so ``jobs=2`` seeds one pool task per
-    first-level subset."""
+    """commuting:n=2's candidate product, 1,331, exceeds four times its
+    first generator's 11 subsets, and so does the g23/g13 pair's; ``jobs=2``
+    runs one pool task per first-level child that survives the root walk."""
     ser = enumerate_cells(gens, dim, jobs=1)
     par = enumerate_cells(gens, dim, jobs=2)
     assert [(c.pattern, c.dim, c.witness) for c in ser] == [
@@ -194,6 +217,16 @@ def test_single_generator_tropical_line():
     lin = lineality_dim([g], 3)
     assert lin == 1
     assert f_vector(cells, lin).counts == (1, 3)
+
+
+def test_candidate_count_skips_empty_generators():
+    """An empty generator ties nothing and ``enumerate_cells`` drops it, so
+    it counts as a factor 1; a single term has no subset of size >= 2."""
+    line = SparsePoly.from_terms({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    empty = SparsePoly.from_terms({})
+    assert candidate_count([empty, line]) == candidate_count([line]) == len(enumerate_cells([empty, line], 3)) == 4
+    assert candidate_count([empty]) == candidate_count([]) == 1
+    assert candidate_count([SparsePoly.from_terms({(1, 0): 1}), line]) == 0
 
 
 def test_empty_generators():
@@ -363,8 +396,7 @@ def _trie_subsets(tries):
     out, stack = [], list(tries)
     while stack:
         for _, subset, below in stack.pop():
-            if subset is not None:
-                out.append(subset)
+            out.append(subset)
             stack.append(below)
     return out
 
@@ -419,12 +451,14 @@ def test_prefix_systems_are_already_reduced(monkeypatch):
         assert list(stricts) == list(dict.fromkeys(eliminate(row, pivots) for row in raw_stricts))
 
 
-def test_walk_matches_a_from_scratch_reference_on_random_systems(monkeypatch):
+def test_walk_matches_a_from_scratch_reference_on_random_systems(monkeypatch, serial_pool):
     """On 500 seeded random generator systems the cells and witnesses equal
     those of a reference that builds every candidate from its raw rows with
-    the ``extend_node`` oracle; every subset the walk leaves out, whether
-    its own rows or a dropped subtree's kept rows rule it out, is one the
-    oracle rejects too."""
+    the ``extend_node`` oracle, in its sorted order; every subset the walk
+    leaves out, whether its own rows or a dropped subtree's kept rows rule
+    it out, is one the oracle rejects too.  On the systems that start a
+    pool at ``jobs=2`` (run in process), the pool's concatenated cells are
+    the serial list, order included."""
     skipped = 0
     for seed in range(500):
         gens, dim = random_generator_system(random.Random(seed))
@@ -434,7 +468,10 @@ def test_walk_matches_a_from_scratch_reference_on_random_systems(monkeypatch):
             for sub in set(subsets) - set(yielded):
                 assert extend_node(({}, {}), *cell_system(gens, pattern + (sub,))) is None, (seed, pattern, sub)
                 skipped += 1
+        if candidate_count(gens) > 4 * candidate_count(gens[:1]):
+            assert enumerate_cells(gens, dim, jobs=2) == cells, seed
     assert skipped > 1000
+    assert len(serial_pool) == 201
 
 
 def test_dead_subtrees_are_dropped_whole(monkeypatch):
@@ -511,30 +548,17 @@ def test_verify_cell_rejects_a_nudged_witness():
                 _verify_cell(terms, c.pattern, nudged)
 
 
-def test_pool_size_is_bounded(monkeypatch):
+def test_pool_size_is_bounded(monkeypatch, serial_pool):
+    """At most one process per first-level child that survives the root
+    walk: all 57 of g23's subsets do."""
     g12, g13, g23 = symmetric_generators()
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, tasks):
-            return [fn(*t) for t in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     serial = enumerate_cells([g23, g13], 12)
-    branches = len(argmin_subsets(len(g23)))
+    branches = len(list(fan._children(({}, {}), g23.monomials(), fan._subset_trie(len(g23)))))
+    assert branches == len(argmin_subsets(len(g23))) == 57
     for cpus, expected in ((3, 3), (None, 1), (10 ** 6, branches)):
         monkeypatch.setattr(fan.os, "cpu_count", lambda: cpus)
         assert enumerate_cells([g23, g13], 12, jobs=10 ** 6) == serial
-        assert sizes[-1] == expected
+        assert serial_pool[-1] == expected
 
 
 # the maximal (10-dimensional) cells of symmetric:n=3 and their S3 x S2
