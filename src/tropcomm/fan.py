@@ -7,12 +7,12 @@ linear equalities (ties inside each argmin set) and strict inequalities
 (argmin terms beat the rest).  Enumeration walks the product of per-generator
 patterns generator by generator, pruning every prefix whose system is
 already infeasible.  A prefix node builds its children along the next
-generator's argmin subsets as a prefix trie (subset S below S without its
-last term): each trie edge adds one tie row as a pivot and steps every
-carried strict row once by it.  The strict rows every subset below a trie
-node keeps (the node's own, and those of the terms skipped so far) are
-checked there, and a zero row or an opposite pair among them drops the
-whole subtree.  Each surviving cell gets an interior rational witness
+generator's argmin subsets, each subset prefix extended by every term above
+its last: each extension adds one tie row as a pivot and steps every
+carried strict row once by it.  The strict rows that every extension of a
+subset prefix keeps (the node's own, and those of the terms skipped so far)
+are checked there, and a zero row or an opposite pair among them drops all
+those extensions.  Each surviving cell gets an interior rational witness
 (the origin of a linear space, else the cheap guess if interior, else the
 exact LP's point), and each is checked exactly against its argmin pattern.
 The depth-first walk meets the patterns in sorted order, so no sort
@@ -98,8 +98,9 @@ class Cell:
 
     Its system is ``cell_system(gens, cell.pattern)``: the tie rows (= 0 on
     the cell) and the strict rows (< 0 on the relative interior).  Witness
-    entries are immutable ``Fraction``s, one object per value shared by all
-    the cells of one enumeration (of one pool task, when a pool runs it)."""
+    entries are immutable ``Fraction``s, one object per value, and pattern
+    entries one tuple per subset, shared by all the cells of one
+    enumeration (of one pool task, when a pool runs it)."""
 
     pattern: Pattern
     dim: int
@@ -183,23 +184,8 @@ def cell_system(gens: Sequence[SparsePoly], pattern: Pattern) -> tuple[list[Row]
 Node = tuple[dict[int, Row], dict[Row, None]]
 # a child of a prefix node: the next generator's argmin subset and its node
 Child = tuple[tuple[int, ...], Node]
-# argmin subsets as a prefix trie: per term s above the prefix's last term,
-# (s, the subset prefix + (s,), the trie below it)
-Trie = list[tuple[int, tuple[int, ...], "Trie"]]
 # a generator's terms as (variable indices, their exponents), zero exponents left out
 SparseTerms = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-def _subset_trie(nterms: int) -> list[Trie]:
-    """Per term but the last, the trie of the argmin subsets that start
-    with it: subset S hangs below S without its last term.  The subsets are
-    ``argmin_subsets``' tuples, so every cell's pattern shares them."""
-    below: dict[tuple[int, ...], Trie] = {(s,): [] for s in range(nterms - 1)}
-    # sorted, a subset comes before its extensions and siblings by last term
-    for sub in sorted(argmin_subsets(nterms)):
-        below[sub] = []
-        below[sub[:-1]].append((sub[-1], sub, below[sub]))
-    return [below[(s,)] for s in range(nterms - 1)]
 
 
 def _keep(kept: dict[Row, None], rows: Iterable[Row]) -> bool:
@@ -212,50 +198,51 @@ def _keep(kept: dict[Row, None], rows: Iterable[Row]) -> bool:
     return True
 
 
-def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> Iterator[Child]:
+def _children(node: Node, terms: Sequence[Monomial]) -> Iterator[Child]:
     """The children of a prefix node along the next generator's argmin
-    subsets, one at a time, each as (subset, child node).  A child whose
-    system already forces infeasibility is left out.
+    subsets, one at a time, each as (subset, child node), in sorted order.
+    A child whose system already forces infeasibility is left out.
 
-    Each first term s0 roots a walk down its subset trie.  ``above`` holds
-    the strict rows terms[s0] - terms[t] reduced against the pivots so far,
-    for the terms t above the prefix's last term.  The edge to S = prefix +
-    (s,) adds the tie terms[last] - terms[s] with ``add_pivot``, as the row
-    of s: the two differ by terms[last] - terms[s0], which is in the pivots'
-    span, so they reduce to the same row.  Every other row is stepped once by
-    the new pivot, only where it is nonzero on its column; a reduced row is
-    canonical (the primitive positive multiple of row + span(pivots) that
-    vanishes on the pivot columns), so each child has exactly the pivots,
-    in ``add_pivot``'s order, and the strict rows, in the order of the
-    parent's rows and then terms t not in S, that adding and eliminating
-    its raw rows from scratch gives.
+    Each first term s0 roots a depth-first walk of the subsets that start
+    with it: a prefix extends by each term s above its last, in ascending
+    order.  ``above`` holds the strict rows terms[s0] - terms[t] reduced
+    against the pivots so far, for the terms t above the prefix's last term.
+    The step to S = prefix + (s,) adds the tie terms[last] - terms[s] with
+    ``add_pivot``, as the row of s: the two differ by terms[last] -
+    terms[s0], which is in the pivots' span, so they reduce to the same row.
+    Every other row is stepped once by the new pivot, only where it is
+    nonzero on its column; a reduced row is canonical (the primitive
+    positive multiple of row + span(pivots) that vanishes on the pivot
+    columns), so each child has exactly the pivots, in ``add_pivot``'s
+    order, and the strict rows, in the order of the parent's rows and then
+    terms t not in S, that adding and eliminating its raw rows from scratch
+    gives.
 
     The node's strict rows and the rows of the terms below the prefix's
-    last term not in it are kept by every subset below the prefix.  One
+    last term not in it are kept by every extension of the prefix.  One
     pivot step keeps a zero row zero and opposite rows opposite, so once
-    those kept rows hold a zero or an opposite pair the whole subtree is
-    dropped."""
+    those kept rows hold a zero or an opposite pair no extension is walked."""
     pivots, stricts = node
     m = len(terms)
     diffs: list[list[Row]] = [[()] * m for _ in range(m)]  # diffs[u][u] unused
     for u, v in combinations(range(m), 2):
         r = eliminate(tuple(a - b for a, b in zip(terms[u], terms[v])), pivots)
         diffs[u][v], diffs[v][u] = r, tuple(map(neg, r))
-    for s0, trie in enumerate(tries):
+    for s0 in range(m - 1):
         kept = dict(stricts)
         if not _keep(kept, diffs[s0][:s0]):
             continue
         # per open prefix: its pivots, kept rows, the rows of the terms
-        # above its last term, that last term, and the edges left to walk
-        walk = [(pivots, kept, diffs[s0][s0 + 1:], s0, iter(trie))]
+        # above its last term, the prefix, and the terms left to extend it by
+        walk = [(pivots, kept, diffs[s0][s0 + 1:], (s0,), iter(range(s0 + 1, m)))]
         while walk:
-            prefix_pivots, prefix_kept, above, last, edges = walk[-1]
-            edge = next(edges, None)
-            if edge is None:
+            prefix_pivots, prefix_kept, above, prefix, extensions = walk[-1]
+            s = next(extensions, None)
+            if s is None:
                 walk.pop()
                 continue
-            s, subset, below = edge
-            k = s - last - 1  # above[k] is the row of s
+            subset = prefix + (s,)
+            k = s - prefix[-1] - 1  # above[k] is the row of s
             child_pivots = dict(prefix_pivots)
             c = add_pivot(child_pivots, above[k])
             if c is None:  # the tie is already implied
@@ -282,8 +269,8 @@ def _children(node: Node, terms: Sequence[Monomial], tries: Sequence[Trie]) -> I
             child_stricts = dict(kept)
             if _keep(child_stricts, above):
                 yield subset, (child_pivots, child_stricts)
-            if below:
-                walk.append((child_pivots, kept, above, s, iter(below)))
+            if s < m - 1:
+                walk.append((child_pivots, kept, above, subset, iter(range(s + 1, m))))
 
 
 def _step(row: Row, p: Row, lead: int, c: int) -> Row:
@@ -336,9 +323,10 @@ def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts
     (subset, node), with its verified witness, in pattern order when
     ``firsts`` is.  Depth first on a stack of (children, pattern), one
     ``_children`` walk per open node; level = len(pattern).  Each witness
-    value is built once, as one ``Fraction`` that all these cells share."""
-    tries = [_subset_trie(len(terms)) for terms in gens_terms[1:]]  # generator k's is tries[k - 1]
+    value is built once, as one ``Fraction`` that all these cells share,
+    and so is each subset of their patterns, as one tuple."""
     sparse = [_sparse_terms(terms) for terms in gens_terms]
+    subsets: dict[tuple[int, ...], tuple[int, ...]] = {}
     values: dict[Fraction, Fraction] = {}
     # shared[d][x] is the one Fraction of value x/d
     shared: defaultdict[int, dict[int, Fraction]] = defaultdict(dict)
@@ -354,10 +342,10 @@ def _enumerate_branch(gens_terms: Sequence[Sequence[Monomial]], dim: int, firsts
         found = _interior(child, dim)
         if found is None:
             continue
-        child_pattern = pattern + (subset,)
+        child_pattern = pattern + (subsets.setdefault(subset, subset),)
         level = len(child_pattern)
         if level < len(gens_terms):
-            stack.append((_children(child, gens_terms[level], tries[level - 1]), child_pattern))
+            stack.append((_children(child, gens_terms[level]), child_pattern))
         else:
             w, d = found
             _verify_cell(sparse, child_pattern, w)
@@ -395,7 +383,7 @@ def enumerate_cells(
     if total > budget:
         raise BudgetExceededError(total, budget)
 
-    firsts = _children(({}, {}), gens_terms[0], _subset_trie(len(gens_terms[0])))
+    firsts = _children(({}, {}), gens_terms[0])
     if jobs > 1 and total > 4 * candidate_count(gens[:1]):
         import multiprocessing  # imported only when a pool starts: it costs memory
 

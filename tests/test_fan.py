@@ -259,7 +259,9 @@ def test_empty_generators_share_one_zero():
 def test_witness_values_are_shared_and_cells_are_small():
     """The walk builds each witness value once: the g23/g13 pair's 2,769
     cells carry 33,228 entries of 77 distinct values.  Building one Fraction
-    per entry peaked at about 3 MB; one per value stays under 1 MB.
+    per entry peaked at about 3 MB; one per value stays under 1 MB.  The
+    patterns hold one tuple per distinct subset: the two generators have 6
+    terms each, so 57 tuples serve both.
 
     A full collection empties the interpreter's free lists, and refilling
     them inside the traced call would count about 1.3 MB of cached tuples
@@ -279,7 +281,34 @@ def test_witness_values_are_shared_and_cells_are_small():
         gc.enable()
     entries = [x for c in cells for x in c.witness]
     assert len({id(x) for x in entries}) == len(set(entries)) < len(entries)
+    subsets = [sub for c in cells for sub in c.pattern]
+    assert len({id(sub) for sub in subsets}) == len(set(subsets)) == 57
     assert peak <= 1.5 * 2 ** 20, peak
+
+
+def test_a_long_generator_costs_no_subset_table():
+    """One 19-term generator in 3 variables has 2^19 - 20 = 524,268
+    candidate subsets, which the default budget admits.  The walk extends
+    each subset prefix by the terms above its last and builds no table of
+    the candidates, so it stays under 1 MiB; a table of all of them would
+    take about 150 MiB and 3 s before the first LP."""
+    g = SparsePoly.from_terms({(i, 18 - i, i * i % 5): 1 for i in range(19)})
+    assert candidate_count([g]) == 524268
+    tracemalloc.start()
+    try:
+        cells = enumerate_cells([g], 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.pattern, c.dim) for c in cells] == [
+        ((tuple(range(19)),), 1),
+        (((0, 2),), 2),
+        (((0, 5, 10, 15),), 2),
+        (((2, 3, 7, 8, 12, 13, 17, 18),), 2),
+        (((15, 16),), 2),
+        (((16, 18),), 2),
+    ]
+    assert peak < 2 ** 20, peak
 
 
 def test_cells_are_slotted_and_pickle():
@@ -391,34 +420,24 @@ def test_strict_feasibility_accepts_cells():
             assert all(sum(a * x for a, x in zip(row, w)) < 0 for row in stricts)
 
 
-def _trie_subsets(tries):
-    """Every subset in a list of argmin-subset tries."""
-    out, stack = [], list(tries)
-    while stack:
-        for _, subset, below in stack.pop():
-            out.append(subset)
-            stack.append(below)
-    return out
-
-
 def _record_walk(monkeypatch, gens, dim):
     """``enumerate_cells(gens, dim)`` with ``fan._children`` wrapped.  Returns
     every child it yielded as (node, pattern), and per call (the parent's
-    pattern, the subsets of its tries, the subsets it yielded)."""
+    pattern, its candidate subsets, the subsets it yielded)."""
     real = fan._children
     children = []  # every child, kept alive so that no id is reused
     walks = []
     patterns: dict = {}  # id(node) -> pattern; the root's is ()
 
-    def record(node, terms, tries):
+    def record(node, terms):
         pattern = patterns.get(id(node), ())
         yielded = []
-        for subset, child in real(node, terms, tries):
+        for subset, child in real(node, terms):
             yielded.append(subset)
             patterns[id(child)] = pattern + (subset,)
             children.append((child, pattern + (subset,)))
             yield subset, child
-        walks.append((pattern, _trie_subsets(tries), yielded))
+        walks.append((pattern, argmin_subsets(len(terms)), yielded))
 
     with monkeypatch.context() as m:
         m.setattr(fan, "_children", record)
@@ -430,7 +449,7 @@ def test_prefix_systems_are_already_reduced(monkeypatch):
     """What ``strict_feasibility`` and the child builder rely on: at every
     prefix node, adding the pivot rows again rebuilds the same pivots, and
     each stored strict row is unchanged by elimination against them.  The
-    rows stepped once by each pivot a trie edge adds are the raw rows
+    rows stepped once by each pivot a subset extension adds are the raw rows
     reduced against the child's pivots: the same pivots and strict rows, in
     the same order, as adding and eliminating the raw rows from scratch."""
     nodes = []
@@ -477,14 +496,14 @@ def test_walk_matches_a_from_scratch_reference_on_random_systems(monkeypatch, se
 def test_dead_subtrees_are_dropped_whole(monkeypatch):
     """Once the rows every extension keeps are contradictory the walk adds
     no pivot below that prefix: on the g23/g13 pair it adds fewer pivots
-    than its trie edges, one per edge it walks."""
+    than it has candidate subsets, one per extension it walks."""
     g12, g13, g23 = symmetric_generators()
     calls = []
     real = fan.add_pivot
     monkeypatch.setattr(fan, "add_pivot", lambda pivots, row: calls.append(1) or real(pivots, row))
     _, _, walks = _record_walk(monkeypatch, [g23, g13], 12)
-    edges = sum(len(subsets) for _, subsets, _ in walks)
-    assert len(calls) < edges
+    candidates = sum(len(subsets) for _, subsets, _ in walks)
+    assert len(calls) < candidates
 
 
 # per system of _fan_systems(), the sha256 of repr([(c.pattern, c.dim,
@@ -553,7 +572,7 @@ def test_pool_size_is_bounded(monkeypatch, serial_pool):
     walk: all 57 of g23's subsets do."""
     g12, g13, g23 = symmetric_generators()
     serial = enumerate_cells([g23, g13], 12)
-    branches = len(list(fan._children(({}, {}), g23.monomials(), fan._subset_trie(len(g23)))))
+    branches = len(list(fan._children(({}, {}), g23.monomials())))
     assert branches == len(argmin_subsets(len(g23))) == 57
     for cpus, expected in ((3, 3), (None, 1), (10 ** 6, branches)):
         monkeypatch.setattr(fan.os, "cpu_count", lambda: cpus)
